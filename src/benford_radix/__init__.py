@@ -34,6 +34,7 @@ from .sequences import (
     SequenceSpec,
     generate,
     iter_leading_digits,
+    iter_leading_digits_exact,
     leading_digit_power,
     leading_digit_power_fast,
     leading_digit_sequence,
@@ -86,6 +87,7 @@ __all__ = [
     "SequenceSpec",
     "generate",
     "iter_leading_digits",
+    "iter_leading_digits_exact",
     "leading_digit_power",
     "leading_digit_power_fast",
     "leading_digit_sequence",

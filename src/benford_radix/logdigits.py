@@ -1,0 +1,434 @@
+"""Certified leading digits from fixed-point logarithms.
+
+The leading digit of a term x in base b is fixed by frac(log_b x): digit d
+owns [log_b d, log_b(d+1)). The streams here never build the terms. They
+carry that fractional part in 128-bit fixed point together with a running
+error bound:
+
+- powers a**k: s = k*log_b(a) mod 1, one addition per term. When a and b
+  are powers of one integer the digit cycle is computed exactly instead;
+- Fibonacci F_m: m*log_b(phi) - log_b(sqrt 5) after an exact prefix;
+- factorials m!: a running sum of log_b(p) over the prime factors of m.
+
+A digit is emitted only when s lies farther from every digit boundary than
+the bound; that is what makes the stream certified. A term that fails the
+test is resolved: exactly while it has at most `_EXACT_BITS` bits,
+otherwise by recomputing its logarithm at twice the bits until it is
+certified (Ziv's strategy), up to `_MAX_LOG_BITS` bits, past which a
+ValueError is raised instead of building the term. `leading_digit_power`
+is that resolver for one power and `leading_digit_power_fast` its
+single-precision 128-bit probe.
+"""
+
+from __future__ import annotations
+
+import decimal
+import math
+from bisect import bisect_right
+from collections import deque
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Iterator
+
+from .digits import MAX_BASE, Digit, as_exact_int, check_base, leading_digit_int
+
+#: Fractional bits used for all fixed-point logarithms. 128 bits leave the
+#: propagated error (a few units times the exponent k) negligible against
+#: digit-boundary gaps for any k up to ~10**30.
+LOG_FRACTIONAL_BITS = 128
+
+_FP_ONE = 1 << LOG_FRACTIONAL_BITS
+# Per-constant fixed-point error in units of 2**-bits. The constants come
+# from correctly-rounded decimal ln() carried to 15/32 digits per bit (60
+# digits at 128 bits), so the real error is a half unit plus ~1e-20 units;
+# 2 is a comfortable ceiling.
+_FP_CONST_ERR = 2
+
+#: Largest term, in bits, that the resolver builds exactly (0.3 s to read
+#: the leading digit of a 2**20-bit integer on a 2-vCPU Xeon VM).
+_EXACT_BITS = 1 << 20
+#: Precision ceiling of the resolver's escalation: 128, 256, ..., 2048 bits.
+_MAX_LOG_BITS = 1 << 11
+#: Fibonacci terms up to this index are resolved exactly; past it the
+#: dropped Binet correction is below one unit (see `_fibonacci_err`).
+_FIB_EXACT_PREFIX = 200
+#: Terms per error-bound step of `_log_stream`.
+_STREAM_BLOCK = 1 << 12
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) by Newton iteration on integers."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) >= true root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+@lru_cache(maxsize=None)
+def _primitive_root(n: int) -> tuple[int, int]:
+    """Decompose n >= 2 as g**j with g not itself a perfect power."""
+    for j in range(n.bit_length() - 1, 1, -1):
+        r = _integer_root(n, j)
+        if r ** j == n:
+            return r, j
+    return n, 1
+
+
+def _common_root(a: int, base: int) -> tuple[int, int, int] | None:
+    """(g, u, v) with a = g**u and base = g**v when both are powers of one
+    integer, else None.
+
+    Only the small base is decomposed: a shares its primitive root g exactly
+    when a is a power of g.
+    """
+    g, v = _primitive_root(base)
+    u = 0
+    while a % g == 0:
+        a //= g
+        u += 1
+    return (g, u, v) if a == 1 else None
+
+
+def _decimal_prec(bits: int) -> int:
+    """Significant digits behind a bits-bit fixed point: 60 at 128 bits."""
+    return bits * 15 // 32
+
+
+def _ln(x: int, bits: int) -> decimal.Decimal:
+    """Correctly rounded ln(x) at the decimal precision of a bits-bit fixed point."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = _decimal_prec(bits)
+        return decimal.Decimal(x).ln()
+
+
+# Logarithms of digits and bases (all <= MAX_BASE): each is computed once
+# per precision and shared by every base.
+_ln_radix = lru_cache(maxsize=None)(_ln)
+
+
+def _to_fixed(ln_x: decimal.Decimal, ln_base: decimal.Decimal, bits: int) -> int:
+    """round(ln_x / ln_base * 2**bits) at the precision `_ln` used for ``bits``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = _decimal_prec(bits)
+        scaled = ln_x / ln_base * (1 << bits)
+        return int(scaled.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
+
+
+def _log_fixed_point(x: int, base: int, bits: int = LOG_FRACTIONAL_BITS) -> int:
+    """round(log_base(x) * 2**bits), off by at most _FP_CONST_ERR units.
+
+    decimal's ln() is correctly rounded, so at 15/32 digits per bit the
+    ratio is good to ~1e-20 * log_base(x) units and the only real
+    contribution is the final half-unit rounding.
+    """
+    ln_x = _ln_radix(x, bits) if x <= MAX_BASE else _ln(x, bits)
+    return _to_fixed(ln_x, _ln_radix(base, bits), bits)
+
+
+@lru_cache(maxsize=None)
+def _digit_boundaries(base: int, bits: int) -> tuple[int, ...]:
+    """Fixed-point t_d = log_base(d) for d = 1..base-1, then t_base = 2**bits.
+
+    Digit d owns [t_d, t_{d+1}).
+    """
+    return tuple(_log_fixed_point(d, base, bits) for d in range(1, base)) + (1 << bits,)
+
+
+def _certified(s: int, err: int, bounds: tuple[int, ...]) -> int:
+    """Digit d with s - err > t_d and s + err < t_{d+1}, or 0 if there is none."""
+    d = bisect_right(bounds, s - err - 1)
+    return d if d == bisect_right(bounds, s + err) else 0
+
+
+def _resolve(
+    base: int,
+    exact_bits: int,
+    exact: Callable[[], int],
+    log_at: Callable[[int], tuple[int, int]],
+    what: str,
+) -> int:
+    """Leading digit of a term whose 128-bit certificate failed.
+
+    ``exact()`` builds the term and is called only when ``exact_bits``, an
+    upper bound on its size, is at most _EXACT_BITS. Otherwise
+    ``log_at(bits)`` returns the term's fixed-point log_base mod 1 at
+    ``bits`` and its error bound, and the precision doubles until the digit
+    is certified or _MAX_LOG_BITS is passed.
+    """
+    if exact_bits <= _EXACT_BITS:
+        return int(leading_digit_int(exact(), base))
+    bits = 2 * LOG_FRACTIONAL_BITS
+    while bits <= _MAX_LOG_BITS:
+        s, err = log_at(bits)
+        d = _certified(s, err, _digit_boundaries(base, bits))
+        if d:
+            return d
+        bits *= 2
+    raise ValueError(
+        f"leading digit of {what} in base {base} is not certified at "
+        f"{_MAX_LOG_BITS} bits and the term is too large to build exactly"
+    )
+
+
+def _log_stream(
+    first: int,
+    last: int,
+    s: int,
+    step: int,
+    err: int,
+    base: int,
+    resolve: Callable[[int], int],
+) -> Iterator[int]:
+    """Digits of terms m = first..last-1 whose 128-bit log_base mod 1 is
+    s + (m - first) * step, within err + (m - first) * _FP_CONST_ERR units.
+
+    ``resolve(m)`` answers the terms that are not certified. Terms go in
+    blocks that share the bound of their last term, so one bisection per
+    term does the test: the edges t_d + e + 1, t_{d+1} - e of the certified
+    intervals alternate, and s certifies digit d exactly when it falls at
+    odd index 2d - 1.
+    """
+    bounds = _digit_boundaries(base, LOG_FRACTIONAL_BITS)
+    digit_at = [0] + [x for d in range(1, base) for x in (d, 0)]
+    mask = _FP_ONE - 1
+    for start in range(first, last, _STREAM_BLOCK):
+        stop = min(start + _STREAM_BLOCK, last)
+        e = err + (stop - 1 - first) * _FP_CONST_ERR
+        edges = [x for d in range(1, base) for x in (bounds[d - 1] + e + 1, bounds[d] - e)]
+        if edges != sorted(edges):
+            edges = []  # the bound outgrew a digit interval: resolve every term
+        for m in range(start, stop):
+            yield digit_at[bisect_right(edges, s)] or resolve(m)
+            s = (s + step) & mask
+
+
+def power_digits(a: int, n: int, b: int) -> Iterator[int]:
+    """Leading digits of a**0 .. a**(n-1) in base b."""
+    common = _common_root(a, b)
+    if common:
+        # the exact cycle of leading_digit_power_fast, with period v
+        g, u, v = common
+        cycle = [g ** (u * k % v) for k in range(v)]
+        return (cycle[k % v] for k in range(n))
+    # a**k: s_k = k * alpha exactly, and alpha and t_d are each off by at most
+    # _FP_CONST_ERR, so the bound k * _FP_CONST_ERR + _FP_CONST_ERR + 1 holds.
+    return _log_stream(
+        0, n, 0, _log_fixed_point(a, b), _FP_CONST_ERR + 1, b,
+        lambda k: int(leading_digit_power(a, k, b)),
+    )
+
+
+def _fibonacci(m: int) -> int:
+    """F_m (F_1 = F_2 = 1) by fast doubling."""
+    f, g = 0, 1  # F_j, F_{j+1}, starting at j = 0
+    for bit in bin(m)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g  # j -> 2j
+        if bit == "1":
+            f, g = g, f + g  # 2j -> 2j + 1
+    return f
+
+
+def _fibonacci_logs(base: int, bits: int) -> tuple[int, int]:
+    """Fixed-point (log_base(phi), log_base(sqrt 5)) at ``bits``, each off by
+    at most _FP_CONST_ERR units."""
+    ln_base = _ln_radix(base, bits)
+    with decimal.localcontext() as ctx:
+        ctx.prec = _decimal_prec(bits)
+        ln_phi = ((1 + decimal.Decimal(5).sqrt()) / 2).ln()
+        ln_sqrt5 = _ln_radix(5, bits) / 2
+    return _to_fixed(ln_phi, ln_base, bits), _to_fixed(ln_sqrt5, ln_base, bits)
+
+
+def _fibonacci_err(m: int, bits: int) -> int:
+    """Error bound, in units of 2**-bits, of m*step - offset as log_base F_m.
+
+    Binet's formula F_m = (phi**m - psi**m) / sqrt 5 with psi = -1/phi gives
+
+        log_base F_m = m*log_base(phi) - log_base(sqrt 5) + c_m,
+        c_m = log_base(1 - (-1)**m * x),  x = phi**(-2m).
+
+    For m >= 1, x <= 1/phi**2 < 1/2, where |ln(1 +- x)| <= 2x; with
+    ln(base) >= ln 2 > 1/2 that gives |c_m| < 4x < 2**(2 - 1.388m), which
+    is the last term here and is one unit from m = 94 on at 128 bits. The
+    rest is _FP_CONST_ERR for each of m*step, offset and the boundary.
+    """
+    return (m + 2) * _FP_CONST_ERR + (1 << max(0, bits + 2 - 1388 * m // 1000))
+
+
+def _resolve_fibonacci(m: int, b: int) -> int:
+    def log_at(bits):
+        step, offset = _fibonacci_logs(b, bits)
+        return (m * step - offset) % (1 << bits), _fibonacci_err(m, bits)
+
+    # F_m < phi**m < 2**(0.7m)
+    return _resolve(b, m * 7 // 10 + 1, lambda: _fibonacci(m), log_at,
+                    f"Fibonacci term {m}")
+
+
+def fibonacci_digits(n: int, b: int) -> Iterator[int]:
+    """Leading digits of F_1 .. F_n in base b."""
+    def resolve(m):
+        return _resolve_fibonacci(m, b)
+
+    prefix = min(n, _FIB_EXACT_PREFIX)
+    yield from map(resolve, range(1, prefix + 1))
+    if n > prefix:
+        m = prefix + 1
+        step, offset = _fibonacci_logs(b, LOG_FRACTIONAL_BITS)
+        s = (m * step - offset) % _FP_ONE
+        # past the prefix c_m is under one unit, so the bound grows by
+        # _FP_CONST_ERR per term as _log_stream assumes
+        yield from _log_stream(
+            m, n + 1, s, step, _fibonacci_err(m, LOG_FRACTIONAL_BITS), b, resolve
+        )
+
+
+def _factorial_logs(n: int, base: int, bits: int) -> Iterator[tuple[int, int]]:
+    """Yield (s, err) for m = 1..n: s = fixed-point log_base(m!) mod 1 at
+    ``bits``, and err its error bound in units.
+
+    Each m is factored by trial division and s gains log_base(p) for every
+    prime factor p, so err is _FP_CONST_ERR per prime factor of m! (with
+    multiplicity) plus _FP_CONST_ERR + 1 for the boundaries. A prime's
+    logarithm is computed once: the table keeps the primes p <= n/2, the
+    only ones met again (as a factor of 2p, 3p, ...).
+    """
+    mask = (1 << bits) - 1
+    logs: dict[int, int] = {}
+    small_primes: list[int] = []  # primes p with p*p <= n
+    s, err = 0, _FP_CONST_ERR + 1
+    yield s, err
+    for m in range(2, n + 1):
+        r = m
+        for p in small_primes:
+            if p * p > r:
+                break
+            while r % p == 0:
+                r //= p
+                s += logs[p]
+                err += _FP_CONST_ERR
+        if r > 1:  # r is prime: no prime factor up to its square root is left
+            log_r = logs.get(r)
+            if log_r is None:
+                log_r = _log_fixed_point(r, base, bits)
+                if 2 * r <= n:
+                    logs[r] = log_r
+                if r * r <= n:
+                    small_primes.append(r)
+            s += log_r
+            err += _FP_CONST_ERR
+        s &= mask
+        yield s, err
+
+
+def _resolve_factorial(m: int, b: int) -> int:
+    def log_at(bits):
+        return deque(_factorial_logs(m, b, bits), maxlen=1)[0]
+
+    # m! < m**m < 2**(m * m.bit_length())
+    return _resolve(b, m * m.bit_length(), lambda: math.factorial(m), log_at,
+                    f"factorial {m}!")
+
+
+def factorial_digits(n: int, b: int) -> Iterator[int]:
+    """Leading digits of 1!, 2!, .., n! in base b."""
+    bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
+    for m, (s, err) in enumerate(_factorial_logs(n, b, LOG_FRACTIONAL_BITS), 1):
+        yield _certified(s, err, bounds) or _resolve_factorial(m, b)
+
+
+@dataclass(frozen=True)
+class FastDigit:
+    """Result of the logarithmic path: a digit plus whether it is certified."""
+
+    digit: Digit
+    certain: bool
+
+
+def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:
+    """Leading digit of a**k in ``base`` from the fractional part of k*log_base(a).
+
+    When a and base are powers of a common integer the digit cycle is
+    computed exactly and is always certain. Otherwise the fractional part is
+    evaluated in 128-bit fixed point; the result is flagged certain only when
+    it sits farther from every digit boundary than the propagated error
+    bound, which in particular flags powers that fall exactly on a boundary.
+    """
+    b = check_base(base)
+    a = as_exact_int(a, "sequence base")
+    k = as_exact_int(k, "exponent")
+    if a < 2:
+        raise ValueError(f"sequence base must be >= 2, got {a}")
+    if k < 0:
+        raise ValueError(f"exponent must be >= 0, got {k}")
+    if k == 0:
+        return FastDigit(Digit(1, b), certain=True)
+
+    common = _common_root(a, b)
+    if common:
+        # a = g**u, base = g**v: a**k = base**q * g**r with r = uk mod v,
+        # and g**r < base, so the leading digit is exactly g**r.
+        g, u, v = common
+        return FastDigit(Digit(g ** (u * k % v), b), certain=True)
+
+    alpha = _log_fixed_point(a, b)
+    s = (k * alpha) % _FP_ONE
+    bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
+    i = bisect_right(bounds, s) - 1
+    distance = min(s - bounds[i], bounds[i + 1] - s)
+    err = k * _FP_CONST_ERR + _FP_CONST_ERR + 1
+    return FastDigit(Digit(i + 1, b), certain=distance > err)
+
+
+def leading_digit_power(a: int, k: int, base) -> Digit:
+    """Certified leading digit of a**k, with bounded time and memory.
+
+    The 128-bit probe `leading_digit_power_fast` answers almost every call.
+    An uncertain probe is resolved by `_resolve`: exactly when
+    k * a.bit_length() <= _EXACT_BITS, otherwise by fixed-point logs at
+    256, 512, .. bits until the digit is certified. The error bound stays
+    k * _FP_CONST_ERR + _FP_CONST_ERR + 1 units while each doubling squares
+    the unit 2**-bits. Past _MAX_LOG_BITS a ValueError is raised.
+
+    Escalation cannot stall on a power that sits exactly on a boundary,
+    because such powers are small. Suppose a**k = d * base**e with
+    1 <= d < base <= 64, e >= 0, k >= 1, and a and base not powers of one
+    integer (that case never reaches here). Write v_p for the exponent of
+    the prime p.
+
+    - A prime q divides a but not base: v_q(d) = k*v_q(a) >= k, so
+      2**k <= d < 64 and k <= 5.
+    - A prime p divides base but not a: 0 = v_p(d) + e*v_p(base) forces
+      e = 0, so a**k = d < 64 and k <= 5.
+    - Otherwise a and base have the same primes, and their exponent vectors
+      are not proportional (if they were, a and base would be powers of one
+      integer), so some primes p, q have
+      D = v_p(a)*v_q(base) - v_q(a)*v_p(base) != 0. Eliminating e from
+      k*v_p(a) = v_p(d) + e*v_p(base) and the same line for q gives
+      k*D = v_p(d)*v_q(base) - v_q(d)*v_p(base), and each product is below
+      log2(base)**2 <= 36 because p**v_p(d) <= d < base, so k <= 35.
+
+    So an exact hit has k <= 35, and every possible hit is built exactly
+    whenever 35 * a.bit_length() <= _EXACT_BITS, which covers every a below
+    2**29000. Any other uncertain power lies strictly inside a digit
+    interval, at a positive distance that enough bits certify.
+    """
+    fast = leading_digit_power_fast(a, k, base)
+    if fast.certain:
+        return fast.digit
+    b = fast.digit.base
+    a, k = as_exact_int(a, "sequence base"), as_exact_int(k, "exponent")
+
+    def log_at(bits):
+        s = k * _log_fixed_point(a, b, bits) % (1 << bits)
+        return s, k * _FP_CONST_ERR + _FP_CONST_ERR + 1
+
+    return Digit(
+        _resolve(b, k * a.bit_length(), lambda: a ** k, log_at,
+                 f"a**k for a {a.bit_length()}-bit a and a {k.bit_length()}-bit k"),
+        b,
+    )

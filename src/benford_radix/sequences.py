@@ -1,32 +1,31 @@
 """Integer sequence generators and their leading-digit streams.
 
-Two routes exist for leading digits of geometric sequences: the exact
-big-integer route (`iter_leading_digits`, the reference), and a fixed-point
-logarithmic route (`leading_digit_power_fast`) that carries a propagated
-error bound and flags itself ambiguous instead of guessing near a digit
-boundary.
+`iter_leading_digits` answers powers, Fibonacci numbers and factorials from
+the certified fixed-point log streams of `logdigits`, which never build the
+terms: a digit is emitted only when the term's fractional logarithm is
+farther from every digit boundary than its running error bound, and the
+rare term that is not is resolved exactly or at doubled precision.
+
+`iter_leading_digits_exact` walks the big-integer terms of `generate`. It
+is the independent reference the streams are tested against, and the route
+for explicit value lists.
 """
 
 from __future__ import annotations
 
-import decimal
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .digits import Digit, as_exact_int, check_base, leading_digit_int
-
-#: Fractional bits used for all fixed-point logarithms. 128 bits leave the
-#: propagated error (a few units times the exponent k) negligible against
-#: digit-boundary gaps for any k up to ~10**30.
-LOG_FRACTIONAL_BITS = 128
-
-_FP_ONE = 1 << LOG_FRACTIONAL_BITS
-# Per-constant fixed-point error in units of 2**-LOG_FRACTIONAL_BITS. The
-# constants come from 60-digit correctly-rounded decimal ln(), so the real
-# error is ~1e-20 units; 2 is a comfortable ceiling.
-_FP_CONST_ERR = 2
+from .digits import Digit, as_exact_int, check_base
+from .logdigits import (  # the single-power API is re-exported from here
+    LOG_FRACTIONAL_BITS,
+    FastDigit,
+    factorial_digits,
+    fibonacci_digits,
+    leading_digit_power,
+    leading_digit_power_fast,
+    power_digits,
+)
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,25 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
 
 
 def iter_leading_digits(spec: SequenceSpec, base) -> Iterator[int]:
+    """Certified leading digits of the spec's terms, as plain ints.
+
+    Powers, Fibonacci numbers and factorials come from the fixed-point log
+    streams of `logdigits`; explicit lists take the exact route. Every digit equals the one `iter_leading_digits_exact`
+    gives.
+    """
+    b = check_base(base)
+    n = spec.length
+    if spec.kind == "powers":
+        yield from power_digits(spec.power_base, n, b)
+    elif spec.kind == "fibonacci":
+        yield from fibonacci_digits(n, b)
+    elif spec.kind == "factorial":
+        yield from factorial_digits(n, b)
+    else:
+        yield from iter_leading_digits_exact(spec, b)
+
+
+def iter_leading_digits_exact(spec: SequenceSpec, base) -> Iterator[int]:
     """Exact leading digits of the spec's terms, as plain ints.
 
     Keeps the bracketing power base**(L-1) from term to term, so monotone
@@ -132,99 +150,3 @@ def leading_digit_sequence(spec: SequenceSpec, base) -> LeadingDigitSeq:
     return LeadingDigitSeq(
         base=b, digits=tuple(Digit(d, b) for d in iter_leading_digits(spec, b))
     )
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) by Newton iteration on integers."""
-    if n < 2 or k == 1:
-        return n
-    x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) >= true root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(n: int) -> tuple[int, int]:
-    """Decompose n >= 2 as g**j with g not itself a perfect power."""
-    for j in range(n.bit_length() - 1, 1, -1):
-        r = _integer_root(n, j)
-        if r ** j == n:
-            return r, j
-    return n, 1
-
-
-@lru_cache(maxsize=None)
-def _log_fixed_point(x: int, base: int) -> int:
-    """round(log_base(x) * 2**LOG_FRACTIONAL_BITS), off by at most _FP_CONST_ERR.
-
-    decimal's ln() is correctly rounded, so at 60 significant digits the
-    relative error of the ratio is ~1e-59 and the only real contribution is
-    the final half-unit rounding.
-    """
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        ratio = decimal.Decimal(x).ln() / decimal.Decimal(base).ln()
-        scaled = ratio * (1 << LOG_FRACTIONAL_BITS)
-        return int(scaled.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
-
-
-@lru_cache(maxsize=None)
-def _digit_boundaries(base: int) -> tuple[int, ...]:
-    """Fixed-point log_base(d) for d = 1..base-1; region [t_d, t_{d+1}) <-> digit d."""
-    return tuple(_log_fixed_point(d, base) for d in range(1, base))
-
-
-@dataclass(frozen=True)
-class FastDigit:
-    """Result of the logarithmic path: a digit plus whether it is certified."""
-
-    digit: Digit
-    certain: bool
-
-
-def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:
-    """Leading digit of a**k in ``base`` from the fractional part of k*log_base(a).
-
-    When a and base are powers of a common integer the digit cycle is
-    computed exactly and is always certain. Otherwise the fractional part is
-    evaluated in 128-bit fixed point; the result is flagged certain only when
-    it sits farther from every digit boundary than the propagated error
-    bound, which in particular flags powers that fall exactly on a boundary.
-    """
-    b = check_base(base)
-    a = as_exact_int(a, "sequence base")
-    k = as_exact_int(k, "exponent")
-    if a < 2:
-        raise ValueError(f"sequence base must be >= 2, got {a}")
-    if k < 0:
-        raise ValueError(f"exponent must be >= 0, got {k}")
-    if k == 0:
-        return FastDigit(Digit(1, b), certain=True)
-
-    root_a, exp_a = _primitive_root(a)
-    root_b, exp_b = _primitive_root(b)
-    if root_a == root_b:
-        # a = g**u, base = g**v: a**k = base**q * g**r with r = uk mod v,
-        # and g**r < base, so the leading digit is exactly g**r.
-        r = (exp_a * k) % exp_b
-        return FastDigit(Digit(root_a ** r, b), certain=True)
-
-    alpha = _log_fixed_point(a, b)
-    s = (k * alpha) % _FP_ONE
-    bounds = _digit_boundaries(b)
-    i = bisect_right(bounds, s) - 1
-    upper = bounds[i + 1] if i + 1 < len(bounds) else _FP_ONE
-    distance = min(s - bounds[i], upper - s)
-    err = k * _FP_CONST_ERR + _FP_CONST_ERR + 1
-    return FastDigit(Digit(i + 1, b), certain=distance > err)
-
-
-def leading_digit_power(a: int, k: int, base) -> Digit:
-    """Certified leading digit of a**k: fast path, exact fallback when ambiguous."""
-    fast = leading_digit_power_fast(a, k, base)
-    if fast.certain:
-        return fast.digit
-    return leading_digit_int(a ** k, base)

@@ -64,3 +64,11 @@ def log_ratio_by_mpmath(num: int, base: int) -> float:
 
     with mp.workdps(50):
         return float(mp.log(num) / mp.log(base))
+
+
+def leading_digit_of_power_by_mpmath(a: int, k: int, base: int, dps: int = 200) -> int:
+    """Leading digit of a**k in `base` from base**frac(k*log_base(a)) at `dps` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return int(mp.floor(mp.power(base, mp.frac(k * mp.log(a) / mp.log(base)))))

@@ -18,6 +18,7 @@ from benford_radix.reference import BENFORD_1938_FIRST_DIGIT
 from benford_radix.sequences import (
     SequenceSpec,
     iter_leading_digits,
+    iter_leading_digits_exact,
     leading_digit_power_fast,
 )
 from benford_radix.stats import (
@@ -89,7 +90,7 @@ def test_criterion_05_fast_path_oracle_equivalence():
     k_max = 10 ** 4
     total = ambiguous = 0
     for base in range(2, 17):
-        exact_iter = iter_leading_digits(SequenceSpec.powers(2, k_max + 1), base)
+        exact_iter = iter_leading_digits_exact(SequenceSpec.powers(2, k_max + 1), base)
         for k, exact in enumerate(exact_iter):
             fast = leading_digit_power_fast(2, k, base)
             total += 1

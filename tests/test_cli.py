@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from benford_radix import cli, sequences
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string
 from benford_radix.stats import tally
@@ -25,6 +26,22 @@ class TestSequenceCommand:
         code, out, _ = run_cli(capsys, "sequence", "--kind", "pow2", "--base", "2", "-n", "7")
         assert code == 0
         assert out == "1 1 1 1 1 1 1\n"
+
+    @pytest.mark.parametrize("kind", ["pow2", "powa:3", "fib", "fact"])
+    def test_tally_needs_no_big_integer_terms(self, kind, capsys, monkeypatch):
+        argv = ["sequence", "--kind", kind, "--base", "10", "-n", "3000", "--tally"]
+        monkeypatch.setattr(cli, "iter_leading_digits", sequences.iter_leading_digits_exact)
+        assert main(argv) == 0
+        exact_doc = capsys.readouterr().out
+        monkeypatch.undo()
+
+        def no_terms(spec):
+            raise RuntimeError("the certified stream built a term")
+
+        monkeypatch.setattr(sequences, "generate", no_terms)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == exact_doc
 
     def test_digits_above_nine_use_brackets(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "powa:12", "--base", "16", "-n", "2")

@@ -1,19 +1,29 @@
+import math
+import time
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from benford_radix import logdigits
 from benford_radix.digits import FiniteBaseRequired, INFINITE, leading_digit_int
 from benford_radix.sequences import (
     FastDigit,
     SequenceSpec,
     generate,
     iter_leading_digits,
+    iter_leading_digits_exact,
     leading_digit_power,
     leading_digit_power_fast,
     leading_digit_sequence,
 )
 
-from oracles import expansion_by_division, powers_leading_digits_by_expansion
+from oracles import (
+    expansion_by_division,
+    leading_digit_of_power_by_mpmath,
+    powers_leading_digits_by_expansion,
+)
 
 # Frozen leading digits of 2**0..2**12, computed with expansion_by_division.
 POW2_FIRST13_BASE10 = [1, 2, 4, 8, 1, 3, 6, 1, 2, 5, 1, 2, 4]
@@ -167,7 +177,7 @@ class TestFastPath:
         ambiguous = 0
         total = 0
         for base in range(2, 17):
-            exact_iter = iter_leading_digits(SequenceSpec.powers(a, k_max + 1), base)
+            exact_iter = iter_leading_digits_exact(SequenceSpec.powers(a, k_max + 1), base)
             for k, exact in enumerate(exact_iter):
                 fast = leading_digit_power_fast(a, k, base)
                 total += 1
@@ -184,3 +194,72 @@ class TestFastPath:
                 assert leading_digit_power(2, k, base) == leading_digit_int(
                     2 ** k, base
                 )
+
+
+def _same_digits(spec, base):
+    got = list(iter_leading_digits(spec, base))
+    assert got == list(iter_leading_digits_exact(spec, base))
+    assert all(type(d) is int for d in got)
+
+
+BASES = st.integers(min_value=2, max_value=64)
+# perfect powers and powers sharing a root with some base 2..64
+ROOTED = st.sampled_from([4, 6, 8, 9, 16, 25, 27, 32, 36, 49, 64, 81, 100, 125, 128, 144, 196])
+
+
+class TestCertifiedStreams:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.one_of(st.integers(2, 200), ROOTED), n=st.integers(1, 600), base=BASES)
+    def test_powers_match_exact(self, a, n, base):
+        _same_digits(SequenceSpec.powers(a, n), base)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(150, 450), base=BASES)
+    def test_fibonacci_across_the_exact_prefix(self, n, base):
+        _same_digits(SequenceSpec.fibonacci(n), base)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 400), base=BASES)
+    def test_factorials_match_exact(self, n, base):
+        _same_digits(SequenceSpec.factorial(n), base)
+
+    @pytest.mark.parametrize("a, base", [(4, 8), (8, 4), (6, 36), (36, 6), (2, 64), (27, 9)])
+    def test_common_root_pairs(self, a, base):
+        _same_digits(SequenceSpec.powers(a, 500), base)
+
+    @pytest.mark.parametrize("base", range(2, 65))
+    def test_every_base(self, base):
+        for spec in (
+            SequenceSpec.powers(3, 2000),
+            SequenceSpec.powers(200, 300),
+            SequenceSpec.fibonacci(700),
+            SequenceSpec.factorial(300),
+        ):
+            _same_digits(spec, base)
+
+
+class TestResolver:
+    @pytest.mark.parametrize("k", [10 ** 40, 10 ** 40 + 1, 3 * 10 ** 40 + 7, 2 ** 133 - 1])
+    def test_huge_exponent_matches_mpmath(self, k):
+        assert not leading_digit_power_fast(2, k, 10).certain
+        start = time.perf_counter()
+        got = leading_digit_power(2, k, 10)
+        elapsed = time.perf_counter() - start
+        assert got == leading_digit_of_power_by_mpmath(2, k, 10)
+        assert elapsed < 1.0
+
+    def test_boundary_hit_beyond_the_exact_cap_is_refused(self, monkeypatch):
+        # 2 = 2 * 10**0 sits on a digit boundary, so no precision certifies it
+        monkeypatch.setattr(logdigits, "_EXACT_BITS", 0)
+        with pytest.raises(ValueError, match="not certified"):
+            leading_digit_power(2, 1, 10)
+
+    def test_escalation_for_fibonacci_and_factorial_terms(self, monkeypatch):
+        monkeypatch.setattr(logdigits, "_EXACT_BITS", 0)
+        for m in range(1500, 1505):
+            fib = list(generate(SequenceSpec.fibonacci(m)))[-1]
+            assert logdigits._resolve_fibonacci(m, 10) == leading_digit_int(fib, 10)
+        for m in (10, 57, 300):
+            assert logdigits._resolve_factorial(m, 7) == leading_digit_int(
+                math.factorial(m), 7
+            )

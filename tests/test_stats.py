@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from benford_radix.digits import Digit
 from benford_radix.model import BenfordPmf, benford_pmf
 from benford_radix.reference import BENFORD_1938_FIRST_DIGIT
-from benford_radix.sequences import SequenceSpec, iter_leading_digits
+from benford_radix.sequences import (
+    SequenceSpec,
+    iter_leading_digits,
+    iter_leading_digits_exact,
+)
 from benford_radix.stats import (
     DigitHistogram,
     EmptyHistogram,
@@ -282,3 +286,11 @@ class TestLeadingOneByBase:
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValueError):
             leading_one_by_base([10], 0)
+
+    @pytest.mark.parametrize("sequence_base", [2, 3, 10])
+    def test_empirical_column_is_the_exact_count(self, sequence_base):
+        n = 1500
+        rows = leading_one_by_base(range(2, 65), n, sequence_base=sequence_base)
+        for row in rows[:-1]:
+            exact = iter_leading_digits_exact(SequenceSpec.powers(sequence_base, n), row.base)
+            assert row.empirical_p1 == list(exact).count(1) / n, row.base

@@ -30,14 +30,12 @@ from .model import (
 from .sequences import (
     LOG_FRACTIONAL_BITS,
     FastDigit,
-    LeadingDigitSeq,
     SequenceSpec,
     generate,
     iter_leading_digits,
     iter_leading_digits_exact,
     leading_digit_power,
     leading_digit_power_fast,
-    leading_digit_sequence,
 )
 from .stats import (
     DEFAULT_MAD_THRESHOLDS,
@@ -83,14 +81,12 @@ __all__ = [
     "limit_leading_one_probability",
     "LOG_FRACTIONAL_BITS",
     "FastDigit",
-    "LeadingDigitSeq",
     "SequenceSpec",
     "generate",
     "iter_leading_digits",
     "iter_leading_digits_exact",
     "leading_digit_power",
     "leading_digit_power_fast",
-    "leading_digit_sequence",
     "DEFAULT_MAD_THRESHOLDS",
     "DigitHistogram",
     "EmptyHistogram",

@@ -8,8 +8,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import Iterator
 
 from .digits import (
+    Digit,
     NoSignificantDigit,
     check_base,
     leading_digit_decimal_string,
@@ -80,31 +82,25 @@ def _fit_payload(fit: FitReport | None) -> dict | None:
     }
 
 
-def _cmd_pmf(args) -> ReportDocument:
-    base = check_base(args.base)
+def _law_doc(mode: str, base: int, p_key: str) -> ReportDocument:
+    """The first-digit law of ``base``; base 10 adds the 1938 reference column."""
     pmf = benford_pmf(base)
     rows = []
     for d in pmf.digits:
-        row = {"digit": d, "p": pmf.prob(d)}
+        row = {"digit": d, p_key: pmf.prob(d)}
         if base == 10:
             row["reference"] = BENFORD_1938_FIRST_DIGIT[d]
             row["delta"] = pmf.prob(d) - BENFORD_1938_FIRST_DIGIT[d]
         rows.append(row)
-    return ReportDocument(mode="pmf", base=base, payload={"rows": rows})
+    return ReportDocument(mode=mode, base=base, payload={"rows": rows})
+
+
+def _cmd_pmf(args) -> ReportDocument:
+    return _law_doc("pmf", check_base(args.base), "p")
 
 
 def _cmd_table1(args) -> ReportDocument:
-    pmf = benford_pmf(10)
-    rows = [
-        {
-            "digit": d,
-            "theory": pmf.prob(d),
-            "reference": BENFORD_1938_FIRST_DIGIT[d],
-            "delta": pmf.prob(d) - BENFORD_1938_FIRST_DIGIT[d],
-        }
-        for d in pmf.digits
-    ]
-    return ReportDocument(mode="table1", base=10, payload={"rows": rows})
+    return _law_doc("table1", 10, "theory")
 
 
 def _cmd_sequence(args) -> ReportDocument | None:
@@ -143,23 +139,24 @@ def _cmd_table2(args) -> ReportDocument:
     )
 
 
+def _nonzero_digits(numerals, base: int) -> Iterator[Digit]:
+    """Leading digits of the numerals; zeros, which have none, are dropped."""
+    for numeral in numerals:
+        try:
+            yield leading_digit_decimal_string(numeral, base)
+        except NoSignificantDigit:
+            pass
+
+
 def _cmd_analyze(args) -> ReportDocument:
     base = check_base(args.base)
     source = DatasetSource(
         format=args.format, column=args.column, skip_header=args.skip_header
     )
     stats = IngestStats()
-    counts = [0] * (base - 1)
-    zeros = 0
-    with open(args.path, encoding="utf-8") as fh:
-        for token in ingest(source, fh, stats):
-            try:
-                d = leading_digit_decimal_string(token, base)
-            except NoSignificantDigit:
-                zeros += 1
-                continue
-            counts[d - 1] += 1
-    hist = DigitHistogram(base=base, counts=tuple(counts))
+    with open(args.path, encoding="utf-8-sig") as fh:
+        hist = tally(_nonzero_digits(ingest(source, fh, stats), base), base)
+    zeros = stats.records - hist.total
     warnings = stats.warnings()
     if zeros:
         warnings.append(f"skipped {zeros} zero value(s)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from decimal import Decimal
 
 MIN_BASE = 2
 MAX_BASE = 64
@@ -162,40 +163,32 @@ def leading_digit_fraction(numerator, denominator, base) -> Digit:
     return Digit((p * pw) // q, b)
 
 
-def parse_decimal_numeral(s: str) -> tuple[int, int, int]:
-    """Parse a decimal numeral string into (sign, scaled_integer, frac_digits).
-
-    The value is sign * scaled_integer / 10**frac_digits, held exactly.
-    Raises NumeralParseError if the string is not a plain decimal numeral.
-    """
-    text = s.strip()
-    if not _NUMERAL_RE.fullmatch(text):
-        raise NumeralParseError(f"not a decimal numeral: {s!r}")
-    sign = -1 if text.startswith("-") else 1
-    text = text.lstrip("+-")
-    if "." in text:
-        int_part, frac_part = text.split(".")
-    else:
-        int_part, frac_part = text, ""
-    scaled = int(int_part + frac_part) if (int_part + frac_part) else 0
-    return sign, scaled, len(frac_part)
+def is_decimal_numeral(text: str) -> bool:
+    """The package's numeral grammar: an optional sign, then digits with at
+    most one point (``-12``, ``0.5``, ``.5``, ``3.``), and nothing else."""
+    return _NUMERAL_RE.fullmatch(text) is not None
 
 
 def leading_digit_decimal_string(s: str, base=10) -> Digit:
     """First significant digit of a decimal numeral string, read in ``base``.
 
-    For base 10 this is a pure character scan (skip sign, zeros and the
-    point), which is exact by the definition of significant digit. For any
-    other base the string is treated as the exact rational p/10**k and the
-    digit is located by integer comparisons.
+    The stripped string must pass `is_decimal_numeral`. For base 10 this is
+    a pure character scan (skip sign, zeros and the point), which is exact
+    by the definition of significant digit and builds no integer. For any
+    other base the string is read as the exact rational p/10**k, of any
+    length, and the digit is located by integer comparisons.
     """
     b = check_base(base)
-    _, scaled, frac_digits = parse_decimal_numeral(s)
-    if scaled == 0:
-        raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
+    text = s.strip()
+    if not is_decimal_numeral(text):
+        raise NumeralParseError(f"not a decimal numeral: {s!r}")
     if b == 10:
-        for ch in s:
-            if ch in "123456789":
-                return Digit(int(ch), 10)
-        raise AssertionError("unreachable: nonzero numeral without nonzero digit")
-    return leading_digit_fraction(scaled, 10 ** frac_digits, b)
+        significant = text.lstrip("+-0.")
+        if not significant:
+            raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
+        return Digit(int(significant[0]), 10)
+    # unlike int(), Decimal has no limit on the number of digits it reads
+    p, q = Decimal(text).as_integer_ratio()
+    if p == 0:
+        raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
+    return leading_digit_fraction(p, q, b)

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .digits import _NUMERAL_RE
+from .digits import is_decimal_numeral
 
 
 class IngestError(ValueError):
@@ -62,11 +62,19 @@ def _emit(token: str, stats: IngestStats) -> str | None:
     if not text:
         stats.skipped_blank += 1
         return None
-    if not _NUMERAL_RE.fullmatch(text):
+    if not is_decimal_numeral(text):
         stats.skipped_non_numeric += 1
         return None
     stats.records += 1
     return text
+
+
+def _rows(reader) -> Iterator[list[str]]:
+    """The CSV reader's rows, with its parse errors raised as IngestError."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise IngestError(f"CSV error at line {reader.line_num}: {exc}") from None
 
 
 def ingest(
@@ -88,12 +96,13 @@ def ingest(
         return
 
     reader = csv.reader(lines)
+    rows = _rows(reader)
     column = source.column
     if isinstance(column, str) and column.isdigit():
         column = int(column)
     if isinstance(column, str):
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             return
         try:
@@ -107,8 +116,8 @@ def ingest(
         if index < 0:
             raise IngestError(f"column index must be >= 0, got {index}")
         if source.skip_header:
-            next(reader, None)
-    for row in reader:
+            next(rows, None)
+    for row in rows:
         if not row:
             stats.skipped_blank += 1
             continue

@@ -2,8 +2,17 @@
 
 A ReportDocument is the single structured result every CLI subcommand
 produces; the JSON shape is stable per mode: {mode, base|bases, <payload>,
-warnings}. Reals are serialized with 6 significant digits, and decimal
-points are used everywhere regardless of locale conventions.
+warnings}. The text and CSV renderers never look at the mode, only at the
+payload's shape, which is exactly one of
+
+- ``rows``: a table, as dicts with the same keys (pmf, table1, table2);
+- ``digits``: a list of leading digits (sequence);
+- ``histogram``: ``{base, total, counts}``, ``counts[i]`` being the count of
+  digit i+1 (sequence --tally, analyze);
+
+plus an optional ``fit`` (analyze), shown in text and left out of CSV.
+Reals are serialized with 6 significant digits, and decimal points are used
+everywhere regardless of locale conventions.
 """
 
 from __future__ import annotations
@@ -44,20 +53,15 @@ def _round_reals(value):
     return value
 
 
-def to_json_dict(doc: ReportDocument) -> dict:
+def render_json(doc: ReportDocument) -> str:
     out: dict[str, Any] = {"mode": doc.mode}
     if doc.bases is not None:
         out["bases"] = [json_base(b) for b in doc.bases]
     else:
         out["base"] = json_base(doc.base)
-    for key, value in doc.payload.items():
-        out[key] = _round_reals(value)
+    out.update(_round_reals(doc.payload))
     out["warnings"] = list(doc.warnings)
-    return out
-
-
-def render_json(doc: ReportDocument) -> str:
-    return json.dumps(to_json_dict(doc), indent=2)
+    return json.dumps(out, indent=2)
 
 
 def format_digit(d: int) -> str:
@@ -65,46 +69,38 @@ def format_digit(d: int) -> str:
     return str(d) if d <= 9 else f"[{d}]"
 
 
-def format_base(b) -> str:
-    if isinstance(b, float) and math.isinf(b):
-        return "inf"
-    return str(b)
+def _table(payload: dict) -> tuple[list[str], list[list]]:
+    """The payload as one table of raw values: (column names, rows)."""
+    if "rows" in payload:
+        columns = list(payload["rows"][0])
+        return columns, [[r[c] for c in columns] for r in payload["rows"]]
+    if "digits" in payload:
+        return ["index", "digit"], [[i, d] for i, d in enumerate(payload["digits"])]
+    hist = payload["histogram"]
+    total = hist["total"]
+    return ["digit", "count", "frequency"], [
+        [i + 1, c, c / total if total else None] for i, c in enumerate(hist["counts"])
+    ]
 
 
-def _fmt_cell(value) -> str:
+def _text_cell(column: str, value) -> str:
     if value is None:
         return "-"
+    if column == "digit":
+        return format_digit(value)
+    if column == "reference_p1":
+        return f"{value:.2f}"  # the published column has two decimals
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
 
 
 def aligned_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines)
-
-
-def _rows_table_text(rows: list[dict], columns: list[str]) -> str:
-    body = [[_fmt_cell(r.get(c)) for c in columns] for r in rows]
-    return aligned_table(columns, body)
-
-
-def _histogram_text(hist: dict) -> str:
-    total = hist["total"]
-    rows = []
-    for i, c in enumerate(hist["counts"]):
-        freq = c / total if total else None
-        rows.append([format_digit(i + 1), str(c), _fmt_cell(freq)])
-    table = aligned_table(["digit", "count", "frequency"], rows)
-    return f"{table}\ntotal  {total}"
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        for line in [headers, *rows]
+    )
 
 
 def _fit_text(fit: dict | None) -> str:
@@ -118,40 +114,23 @@ def _fit_text(fit: dict | None) -> str:
 
 
 def render_text(doc: ReportDocument) -> str:
-    parts: list[str] = []
-    if doc.mode in ("pmf", "table1"):
-        rows = doc.payload["rows"]
-        columns = list(rows[0].keys())
-        shown = [dict(r, digit=format_digit(r["digit"])) for r in rows]
-        parts.append(_rows_table_text(shown, columns))
+    payload = doc.payload
+    if "digits" in payload:
+        parts = [" ".join(format_digit(d) for d in payload["digits"])]
+    else:
+        columns, rows = _table(payload)
+        cells = [[_text_cell(c, v) for c, v in zip(columns, row)] for row in rows]
+        parts = [aligned_table(columns, cells)]
+        if "histogram" in payload:
+            parts.append(f"total  {payload['histogram']['total']}")
         if "delta" in columns:
-            worst = max(rows, key=lambda r: abs(r["delta"]))
+            worst = max(payload["rows"], key=lambda r: abs(r["delta"]))
             parts.append(
                 f"max |delta| = {abs(worst['delta']):.6f} (digit {worst['digit']})"
             )
-    elif doc.mode == "table2":
-        rows = [dict(r, base=format_base(r["base"])) for r in doc.payload["rows"]]
-        for r in rows:
-            if r.get("reference_p1") is not None:
-                r["reference_p1"] = f"{r['reference_p1']:.2f}"
-        parts.append(
-            _rows_table_text(
-                rows,
-                ["base", "n", "empirical_p1", "asymptotic_p1", "reference_p1"],
-            )
-        )
-    elif doc.mode == "sequence":
-        if "digits" in doc.payload:
-            parts.append(" ".join(format_digit(d) for d in doc.payload["digits"]))
-        else:
-            parts.append(_histogram_text(doc.payload["histogram"]))
-    elif doc.mode == "analyze":
-        parts.append(_histogram_text(doc.payload["histogram"]))
-        parts.append(_fit_text(doc.payload["fit"]))
-    else:
-        raise ValueError(f"unknown report mode {doc.mode!r}")
-    for w in doc.warnings:
-        parts.append(f"warning: {w}")
+    if "fit" in payload:
+        parts.append(_fit_text(payload["fit"]))
+    parts.extend(f"warning: {w}" for w in doc.warnings)
     return "\n".join(parts) + "\n"
 
 
@@ -164,26 +143,9 @@ def _csv_value(value):
 
 
 def render_csv(doc: ReportDocument) -> str:
+    columns, rows = _table(doc.payload)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if doc.mode in ("pmf", "table1", "table2"):
-        rows = doc.payload["rows"]
-        columns = list(rows[0].keys())
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow(
-                [_csv_value(format_base(r[c]) if c == "base" else r[c]) for c in columns]
-            )
-    elif doc.mode == "sequence" and "digits" in doc.payload:
-        writer.writerow(["index", "digit"])
-        for i, d in enumerate(doc.payload["digits"]):
-            writer.writerow([i, d])
-    elif doc.mode in ("sequence", "analyze"):
-        hist = doc.payload["histogram"]
-        total = hist["total"]
-        writer.writerow(["digit", "count", "frequency"])
-        for i, c in enumerate(hist["counts"]):
-            writer.writerow([i + 1, c, _csv_value(c / total if total else None)])
-    else:
-        raise ValueError(f"unknown report mode {doc.mode!r}")
+    writer.writerow(columns)
+    writer.writerows([_csv_value(v) for v in row] for row in rows)
     return out.getvalue()

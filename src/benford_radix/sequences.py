@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digits import Digit, as_exact_int, check_base
+from .digits import as_exact_int, check_base
 from .logdigits import (  # the single-power API is re-exported from here
     LOG_FRACTIONAL_BITS,
     FastDigit,
@@ -75,17 +75,6 @@ class SequenceSpec:
         return cls(kind="explicit", length=len(vals), values=vals)
 
 
-@dataclass(frozen=True)
-class LeadingDigitSeq:
-    """Leading digits of one sequence, all read in the same base."""
-
-    base: int
-    digits: tuple[Digit, ...]
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
 def generate(spec: SequenceSpec) -> Iterator[int]:
     """Yield the spec's terms one at a time (exactly ``spec.length`` of them)."""
     n = spec.length
@@ -112,8 +101,8 @@ def iter_leading_digits(spec: SequenceSpec, base) -> Iterator[int]:
     """Certified leading digits of the spec's terms, as plain ints.
 
     Powers, Fibonacci numbers and factorials come from the fixed-point log
-    streams of `logdigits`; explicit lists take the exact route. Every digit equals the one `iter_leading_digits_exact`
-    gives.
+    streams of `logdigits`; explicit lists take the exact route. Every digit
+    equals the one `iter_leading_digits_exact` gives.
     """
     b = check_base(base)
     n = spec.length
@@ -143,10 +132,3 @@ def iter_leading_digits_exact(spec: SequenceSpec, base) -> Iterator[int]:
             pw //= b
         yield x // pw
 
-
-def leading_digit_sequence(spec: SequenceSpec, base) -> LeadingDigitSeq:
-    """Materialized exact leading-digit sequence in ``base``."""
-    b = check_base(base)
-    return LeadingDigitSeq(
-        base=b, digits=tuple(Digit(d, b) for d in iter_leading_digits(spec, b))
-    )

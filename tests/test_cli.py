@@ -1,3 +1,5 @@
+import csv
+import functools
 import json
 
 import pytest
@@ -6,6 +8,8 @@ from benford_radix import cli, sequences
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string
 from benford_radix.stats import tally
+
+from oracles import leading_digit_by_fraction_scaling
 
 POW2_FIRST13_TEXT = "1 2 4 8 1 3 6 1 2 5 1 2 4\n"
 
@@ -243,6 +247,52 @@ class TestAnalyzeCommand:
         doc = json.loads(out)
         assert doc["fit"] is None
         assert any("no usable records" in w for w in doc["warnings"])
+
+    def test_bom_keeps_the_first_line(self, capsys, tmp_path):
+        data = tmp_path / "bom.txt"
+        data.write_text("\ufeff16\n32\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", str(data), "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["histogram"]["total"] == 2
+        assert not any("non-numeric" in w for w in doc["warnings"])
+
+    def test_bom_keeps_the_header_name(self, capsys, tmp_path):
+        data = tmp_path / "rivers.csv"
+        data.write_text("\ufeffarea,name\n335,volga\n3349000,nile\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "analyze", str(data), "--format", "csv", "--column", "area", "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["histogram"]["counts"][2] == 2
+
+    @pytest.mark.parametrize("base", [10, 7])
+    def test_numerals_past_the_int_string_limit(self, base, capsys, tmp_path):
+        body = "".join(str(i * i % 10) for i in range(1, 5001))
+        numerals = [body, "-0.000" + body[3:], body[:2500] + "." + body[2500:]]
+        data = tmp_path / "long.txt"
+        data.write_text("\n".join(numerals) + "\n", encoding="utf-8")
+        argv = ["analyze", str(data), "--base", str(base), "--json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        expected = [0] * (base - 1)
+        for s in numerals:
+            whole, _, frac = s.lstrip("-").partition(".")
+            # digit by digit, so the oracle never converts a long string with int()
+            p = functools.reduce(lambda acc, ch: acc * 10 + int(ch), whole + frac, 0)
+            d = leading_digit_by_fraction_scaling(p, 10 ** len(frac), base)
+            expected[d - 1] += 1
+        assert json.loads(out)["histogram"]["counts"] == expected
+
+    def test_oversized_csv_field_is_validation_error(self, capsys, tmp_path):
+        data = tmp_path / "wide.csv"
+        big = "1" * (csv.field_size_limit() + 1)
+        data.write_text(f"area\n5\n{big}\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "analyze", str(data), "--format", "csv", "--column", "area"
+        )
+        assert code == 1
+        assert err.startswith("benford-radix: error: ") and "line 3" in err
 
 
 class TestRoundTrip:

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -87,6 +88,12 @@ class TestCsv:
         assert tokens == ["42", "3.14"]
         assert stats.skipped_blank == 2
         assert stats.skipped_non_numeric == 1
+
+    def test_oversized_field_reports_line_number(self):
+        src = DatasetSource(format="csv", column=0)
+        big = "1" * (csv.field_size_limit() + 1)
+        with pytest.raises(IngestError, match="line 2"):
+            run_ingest(src, f"5\n{big}\n")
 
     def test_negative_index_rejected(self):
         src = DatasetSource(format="csv", column=-1)

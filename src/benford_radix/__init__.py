@@ -14,8 +14,6 @@ from .digits import (
     NoSignificantDigit,
     NumeralParseError,
     check_base,
-    digit_count,
-    digit_expansion,
     leading_digit_decimal_string,
     leading_digit_fraction,
     leading_digit_int,
@@ -48,10 +46,8 @@ from .stats import (
     chi_square_fit,
     chi_square_p_value,
     chunked_tally,
-    frequencies,
     leading_one_by_base,
     merge,
-    regularized_gamma_q,
     tally,
 )
 
@@ -66,8 +62,6 @@ __all__ = [
     "NoSignificantDigit",
     "NumeralParseError",
     "check_base",
-    "digit_count",
-    "digit_expansion",
     "leading_digit_decimal_string",
     "leading_digit_fraction",
     "leading_digit_int",
@@ -97,9 +91,7 @@ __all__ = [
     "chi_square_fit",
     "chi_square_p_value",
     "chunked_tally",
-    "frequencies",
     "leading_one_by_base",
     "merge",
-    "regularized_gamma_q",
     "tally",
 ]

@@ -6,16 +6,13 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import re
 import sys
 from typing import Iterator
 
-from .digits import (
-    Digit,
-    NoSignificantDigit,
-    check_base,
-    leading_digit_decimal_string,
-)
+from .digits import NoSignificantDigit, check_base, leading_digit_decimal_string
 from .ingest import DatasetSource, IngestStats, ingest
 from .model import benford_pmf
 from .reference import BENFORD_1938_FIRST_DIGIT
@@ -139,7 +136,7 @@ def _cmd_table2(args) -> ReportDocument:
     )
 
 
-def _nonzero_digits(numerals, base: int) -> Iterator[Digit]:
+def _nonzero_digits(numerals, base: int) -> Iterator[int]:
     """Leading digits of the numerals; zeros, which have none, are dropped."""
     for numeral in numerals:
         try:
@@ -154,8 +151,17 @@ def _cmd_analyze(args) -> ReportDocument:
         format=args.format, column=args.column, skip_header=args.skip_header
     )
     stats = IngestStats()
-    with open(args.path, encoding="utf-8-sig") as fh:
+    # newline="" leaves line ends to csv; stdin's bytes are borrowed, not closed
+    if args.path == "-":
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+        release = fh.detach
+    else:
+        fh = open(args.path, encoding="utf-8-sig", newline="")
+        release = fh.close
+    try:
         hist = tally(_nonzero_digits(ingest(source, fh, stats), base), base)
+    finally:
+        release()
     zeros = stats.records - hist.total
     warnings = stats.warnings()
     if zeros:
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table2)
 
     p = sub.add_parser("analyze", help="first-digit audit of a numeric dataset")
-    p.add_argument("path")
+    p.add_argument("path", help="input file, or - for stdin")
     p.add_argument("--format", choices=("csv", "lines"), default="lines")
     p.add_argument("--column", help="CSV column: 0-based index or header name")
     p.add_argument(
@@ -253,23 +259,23 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         doc = args.handler(args)
-    except UnicodeDecodeError as exc:
+        if doc is not None:
+            if args.json:
+                print(render_json(doc))
+            elif args.csv:
+                sys.stdout.write(render_csv(doc))
+            else:
+                sys.stdout.write(render_text(doc))
+        sys.stdout.flush()
+    except (UnicodeDecodeError, OSError) as exc:
         print(f"benford-radix: error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: send the unflushed rest, at exit, nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except ValueError as exc:
         print(f"benford-radix: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"benford-radix: error: {exc}", file=sys.stderr)
-        return 2
-    if doc is None:
-        return 0
-    if args.json:
-        print(render_json(doc))
-    elif args.csv:
-        sys.stdout.write(render_csv(doc))
-    else:
-        sys.stdout.write(render_text(doc))
     return 0
 
 

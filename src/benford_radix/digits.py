@@ -86,8 +86,8 @@ def _checked_magnitude(n) -> int:
     return m
 
 
-def _floor_log(n: int, base: int) -> tuple[int, int]:
-    """Return (e, base**e) with base**e <= n < base**(e+1), for n >= 1.
+def _floor_power(n: int, base: int) -> int:
+    """The largest power base**e <= n, for n >= 1.
 
     Uses repeated squaring plus a binary descent, so it stays exact and
     needs only O(log e) big-integer multiplications.
@@ -97,25 +97,29 @@ def _floor_log(n: int, base: int) -> tuple[int, int]:
     while p <= n:
         squares.append(p)
         p = p * p
-    e = 0
     acc = 1
-    for i in range(len(squares) - 1, -1, -1):
-        cand = acc * squares[i]
+    for square in reversed(squares):
+        cand = acc * square
         if cand <= n:
             acc = cand
-            e += 1 << i
-    return e, acc
+    return acc
 
 
-def digit_count(n, base) -> int:
-    """Number of digits of |n| when written in ``base``.
+def _leading_digit(p: int, q: int, b: int) -> int:
+    """First significant digit of p/q in base b, for checked ints p, q >= 1.
 
-    Equivalently the smallest L with |n| < base**L.
+    Finds the unique d and integer e with d * b**e <= p/q < (d+1) * b**e
+    by exact integer comparisons.
     """
-    b = check_base(base)
-    m = _checked_magnitude(n)
-    e, _ = _floor_log(m, b)
-    return e + 1
+    if p >= q:
+        # Leading digit of the value equals that of its integer part: with
+        # m = p // q and L its digit count, b**(L-1) <= m <= value < m+1 <= b**L.
+        m = p // q
+        return m // _floor_power(m, b)
+    # value < 1: scale up by the smallest power of b that reaches 1.
+    c = (q + p - 1) // p  # ceil(q / p) >= 2
+    w = _floor_power(c - 1, b) * b  # smallest b**j >= c, so value * w in [1, b)
+    return p * w // q
 
 
 def leading_digit_int(n, base) -> Digit:
@@ -124,43 +128,16 @@ def leading_digit_int(n, base) -> Digit:
     Sign is ignored; zero has no significant digit and raises.
     """
     b = check_base(base)
-    m = _checked_magnitude(n)
-    _, p = _floor_log(m, b)
-    return Digit(m // p, b)
-
-
-def digit_expansion(n, base) -> list[int]:
-    """All digits of |n| in ``base``, most significant first."""
-    b = check_base(base)
-    m = _checked_magnitude(n)
-    digits = []
-    while m:
-        m, r = divmod(m, b)
-        digits.append(r)
-    digits.reverse()
-    return digits
+    return Digit(_leading_digit(_checked_magnitude(n), 1, b), b)
 
 
 def leading_digit_fraction(numerator, denominator, base) -> Digit:
-    """First significant digit of the positive rational |numerator|/denominator.
-
-    Finds the unique d and integer e with d * base**e <= value < (d+1) * base**e
-    by exact integer comparisons.
-    """
+    """First significant digit of the positive rational |numerator|/denominator."""
     b = check_base(base)
     q = as_exact_int(denominator, "denominator")
     if q <= 0:
         raise ValueError(f"denominator must be positive, got {denominator!r}")
-    p = _checked_magnitude(numerator)
-    if p >= q:
-        # Leading digit of the value equals that of its integer part: with
-        # m = p // q and L its digit count, base**(L-1) <= m <= value < m+1 <= base**L.
-        return leading_digit_int(p // q, b)
-    # value < 1: scale up by the smallest power of base that reaches 1.
-    c = (q + p - 1) // p  # ceil(q / p) >= 2
-    e, acc = _floor_log(c - 1, b)
-    pw = acc * b  # smallest base**j >= c, i.e. value * base**j in [1, base)
-    return Digit((p * pw) // q, b)
+    return Digit(_leading_digit(_checked_magnitude(numerator), q, b), b)
 
 
 def is_decimal_numeral(text: str) -> bool:
@@ -169,10 +146,11 @@ def is_decimal_numeral(text: str) -> bool:
     return _NUMERAL_RE.fullmatch(text) is not None
 
 
-def leading_digit_decimal_string(s: str, base=10) -> Digit:
+def leading_digit_decimal_string(s: str, base=10) -> int:
     """First significant digit of a decimal numeral string, read in ``base``.
 
-    The stripped string must pass `is_decimal_numeral`. For base 10 this is
+    Returns a plain int, since `analyze` calls this once per record. The
+    stripped string must pass `is_decimal_numeral`. For base 10 this is
     a pure character scan (skip sign, zeros and the point), which is exact
     by the definition of significant digit and builds no integer. For any
     other base the string is read as the exact rational p/10**k, of any
@@ -186,9 +164,9 @@ def leading_digit_decimal_string(s: str, base=10) -> Digit:
         significant = text.lstrip("+-0.")
         if not significant:
             raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
-        return Digit(int(significant[0]), 10)
+        return int(significant[0])
     # unlike int(), Decimal has no limit on the number of digits it reads
     p, q = Decimal(text).as_integer_ratio()
     if p == 0:
         raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
-    return leading_digit_fraction(p, q, b)
+    return _leading_digit(abs(p), q, b)

@@ -38,6 +38,8 @@ class DatasetSource:
             raise ValueError("csv ingestion requires a column selector")
         if self.format == "lines" and self.column is not None:
             raise ValueError("column selector is only valid for csv input")
+        if self.format == "lines" and self.skip_header:
+            raise ValueError("skip_header is only valid for csv input")
 
 
 @dataclass

@@ -7,8 +7,9 @@ farther from every digit boundary than its running error bound, and the
 rare term that is not is resolved exactly or at doubled precision.
 
 `iter_leading_digits_exact` walks the big-integer terms of `generate`. It
-is the independent reference the streams are tested against, and the route
-for explicit value lists.
+is the independent reference the streams are tested against. Every kind
+is generated, nondecreasing and starts at 1; there are no literal value
+lists.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digits import as_exact_int, check_base
+from .digits import check_base
 from .logdigits import (  # the single-power API is re-exported from here
     LOG_FRACTIONAL_BITS,
     FastDigit,
@@ -30,15 +31,14 @@ from .logdigits import (  # the single-power API is re-exported from here
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """What to generate: powers of a, factorials, Fibonacci, or a literal list."""
+    """What to generate: powers of a, factorials, or Fibonacci numbers."""
 
     kind: str
     length: int
     power_base: int | None = None
-    values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("powers", "factorial", "fibonacci", "explicit"):
+        if self.kind not in ("powers", "factorial", "fibonacci"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if not isinstance(self.length, int) or self.length < 1:
             raise ValueError(f"length must be an integer >= 1, got {self.length!r}")
@@ -47,15 +47,6 @@ class SequenceSpec:
                 raise ValueError("powers sequence needs an integer base >= 2")
         elif self.power_base is not None:
             raise ValueError(f"power_base is only valid for powers, not {self.kind}")
-        if self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit sequence needs a nonempty value list")
-            if any(not isinstance(v, int) or v < 1 for v in self.values):
-                raise ValueError("explicit sequence values must all be integers >= 1")
-            if self.length != len(self.values):
-                raise ValueError("explicit sequence length must match its values")
-        elif self.values is not None:
-            raise ValueError(f"values are only valid for explicit, not {self.kind}")
 
     @classmethod
     def powers(cls, a: int, length: int) -> "SequenceSpec":
@@ -68,11 +59,6 @@ class SequenceSpec:
     @classmethod
     def fibonacci(cls, length: int) -> "SequenceSpec":
         return cls(kind="fibonacci", length=length)
-
-    @classmethod
-    def explicit(cls, values) -> "SequenceSpec":
-        vals = tuple(as_exact_int(v, "sequence value") for v in values)
-        return cls(kind="explicit", length=len(vals), values=vals)
 
 
 def generate(spec: SequenceSpec) -> Iterator[int]:
@@ -88,21 +74,19 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
         for i in range(1, n + 1):
             x *= i
             yield x
-    elif spec.kind == "fibonacci":
+    else:
         a, b = 1, 1
         for _ in range(n):
             yield a
             a, b = b, a + b
-    else:
-        yield from spec.values
 
 
 def iter_leading_digits(spec: SequenceSpec, base) -> Iterator[int]:
     """Certified leading digits of the spec's terms, as plain ints.
 
     Powers, Fibonacci numbers and factorials come from the fixed-point log
-    streams of `logdigits`; explicit lists take the exact route. Every digit
-    equals the one `iter_leading_digits_exact` gives.
+    streams of `logdigits`. Every digit equals the one
+    `iter_leading_digits_exact` gives.
     """
     b = check_base(base)
     n = spec.length
@@ -110,25 +94,22 @@ def iter_leading_digits(spec: SequenceSpec, base) -> Iterator[int]:
         yield from power_digits(spec.power_base, n, b)
     elif spec.kind == "fibonacci":
         yield from fibonacci_digits(n, b)
-    elif spec.kind == "factorial":
-        yield from factorial_digits(n, b)
     else:
-        yield from iter_leading_digits_exact(spec, b)
+        yield from factorial_digits(n, b)
 
 
 def iter_leading_digits_exact(spec: SequenceSpec, base) -> Iterator[int]:
     """Exact leading digits of the spec's terms, as plain ints.
 
-    Keeps the bracketing power base**(L-1) from term to term, so monotone
-    sequences pay only an amortized constant number of big-integer ops per
-    term instead of a fresh logarithm search.
+    Keeps the bracketing power base**(L-1) from term to term. Every kind is
+    nondecreasing and starts at 1, so the bracket only ever grows, and the
+    whole walk costs an amortized constant number of big-integer
+    ops per term instead of a fresh logarithm search.
     """
     b = check_base(base)
     pw = 1
     for x in generate(spec):
         while x >= pw * b:
             pw *= b
-        while pw > x:
-            pw //= b
         yield x // pw
 

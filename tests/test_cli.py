@@ -1,10 +1,16 @@
 import csv
 import functools
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from benford_radix import cli, sequences
+import test_documents
+from benford_radix import cli, digits, sequences
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string
 from benford_radix.stats import tally
@@ -284,6 +290,41 @@ class TestAnalyzeCommand:
             expected[d - 1] += 1
         assert json.loads(out)["histogram"]["counts"] == expected
 
+    def test_stdin_with_bom_matches_the_file(self, capsys, tmp_path, monkeypatch):
+        table = 'area,name\r\n335,"volga\r\nriver"\r\n3349000,nile\r\n0,x\r\n'
+        data = tmp_path / "rivers.csv"
+        data.write_bytes(table.encode("utf-8"))
+        flags = ["--format", "csv", "--column", "area", "--base", "7", "--json"]
+        code, from_file, _ = run_cli(capsys, "analyze", str(data), *flags)
+        assert code == 0
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + table.encode("utf-8")))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, from_stdin, err = run_cli(capsys, "analyze", "-", *flags)
+        assert code == 0, err
+        assert from_stdin == from_file
+        assert not stdin.closed
+
+    def test_skip_header_needs_csv(self, capsys, tmp_path):
+        data = tmp_path / "vals.txt"
+        data.write_text("value\n16\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(data), "--skip-header")
+        assert code == 1 and out == ""
+        assert "skip_header is only valid for csv input" in err
+
+    @pytest.mark.parametrize(
+        "command", ["analyze {lines}", "analyze {csv} --format csv --column area --base 7"]
+    )
+    def test_records_build_no_digit_objects(self, command, monkeypatch, tmp_path):
+        def no_digit(cls, value, base):
+            raise RuntimeError("analyze built a Digit")
+
+        monkeypatch.setattr(digits.Digit, "__new__", no_digit)
+        golden = json.loads(test_documents.GOLDEN.read_text(encoding="utf-8"))
+        inputs = test_documents._write_inputs(tmp_path)
+        for fmt in test_documents.FORMATS:
+            got = test_documents._stdout(command, fmt, inputs)
+            assert got == golden[f"{command} [{fmt}]"]
+
     def test_oversized_csv_field_is_validation_error(self, capsys, tmp_path):
         data = tmp_path / "wide.csv"
         big = "1" * (csv.field_size_limit() + 1)
@@ -317,6 +358,22 @@ class TestRoundTrip:
 
 
 class TestCliContract:
+    def test_closed_stdout_pipe_is_io_error(self):
+        # Unbuffered, CPython's text layer ignores the short count of a raw
+        # write cut off by the closed pipe; Python buffers a pipe by default.
+        src = Path(cli.__file__).parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "benford_radix.cli", "sequence", "--kind", "pow2", "-n", "200000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(8) == b"1 2 4 8 "
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("benford-radix: error: ") and err.count("\n") == 1
+        assert "Broken pipe" in err
+
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")
         assert code == 1

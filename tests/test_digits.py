@@ -9,8 +9,6 @@ from benford_radix.digits import (
     NoSignificantDigit,
     NumeralParseError,
     check_base,
-    digit_count,
-    digit_expansion,
     leading_digit_decimal_string,
     leading_digit_fraction,
     leading_digit_int,
@@ -89,46 +87,6 @@ class TestLeadingDigitInt:
             leading_digit_int(1e23, 10)
 
 
-class TestDigitCount:
-    def test_four_digit_value(self):
-        assert digit_count(1016, 10) == 4
-
-    def test_single_digit(self):
-        assert digit_count(1, 2) == 1
-
-    def test_ternary_count_matches_division_oracle(self):
-        assert expansion_by_division(4096, 3) == [1, 2, 1, 2, 1, 2, 0, 1]
-        assert digit_count(2 ** 12, 3) == 8
-
-    def test_zero_rejected(self):
-        with pytest.raises(NoSignificantDigit):
-            digit_count(0, 10)
-
-
-class TestDigitExpansion:
-    def test_decimal(self):
-        assert digit_expansion(4096, 10) == [4, 0, 9, 6]
-
-    def test_binary(self):
-        assert digit_expansion(8, 2) == [1, 0, 0, 0]
-
-    def test_ternary_frozen_from_oracle(self):
-        assert digit_expansion(4096, 3) == [1, 2, 1, 2, 1, 2, 0, 1]
-
-    def test_exhaustive_reconstruction_small_values(self):
-        # every n <= 10**4, every base: evaluating the expansion as a
-        # polynomial in the base must give n back, and digits stay in range
-        for base in range(2, 65):
-            for n in range(1, 10001):
-                ds = digit_expansion(n, base)
-                assert ds[0] >= 1
-                acc = 0
-                for d in ds:
-                    assert 0 <= d < base
-                    acc = acc * base + d
-                assert acc == n
-
-
 class TestLeadingDigitDecimalString:
     def test_leading_zeros_skipped(self):
         assert leading_digit_decimal_string("0.00312", 10) == 3
@@ -143,6 +101,10 @@ class TestLeadingDigitDecimalString:
 
     def test_negative_sign_ignored(self):
         assert leading_digit_decimal_string("-0.00312", 10) == 3
+
+    @pytest.mark.parametrize("base", [10, 7])
+    def test_returns_a_plain_int(self, base):
+        assert type(leading_digit_decimal_string("-0.00312", base)) is int
 
     @pytest.mark.parametrize("s", ["0", "0.000", "-0.0", "+.0"])
     def test_zero_values_rejected(self, s):
@@ -176,6 +138,10 @@ class TestLeadingDigitFraction:
     def test_value_below_one(self):
         assert leading_digit_fraction(1, 2, 3) == 1
 
+    def test_digit_carries_its_base(self):
+        assert leading_digit_fraction(-1, 2, 3).base == 3
+        assert leading_digit_int(-256, 7).base == 7
+
     def test_zero_numerator_rejected(self):
         with pytest.raises(NoSignificantDigit):
             leading_digit_fraction(0, 7, 10)
@@ -201,15 +167,7 @@ class TestProperties:
         base=st.integers(min_value=2, max_value=64),
     )
     def test_leading_digit_heads_the_expansion(self, n, base):
-        assert leading_digit_int(n, base) == digit_expansion(n, base)[0]
-
-    @given(
-        n=st.integers(min_value=1, max_value=10 ** 60),
-        base=st.integers(min_value=2, max_value=64),
-    )
-    def test_digit_count_brackets_the_value(self, n, base):
-        length = digit_count(n, base)
-        assert base ** (length - 1) <= n < base ** length
+        assert leading_digit_int(n, base) == expansion_by_division(n, base)[0]
 
     @given(
         n=st.integers(min_value=1, max_value=10 ** 30),

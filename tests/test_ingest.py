@@ -21,6 +21,10 @@ class TestDatasetSource:
         with pytest.raises(ValueError):
             DatasetSource(format="lines", column=0)
 
+    def test_lines_forbids_skip_header(self):
+        with pytest.raises(ValueError, match="skip_header"):
+            DatasetSource(format="lines", skip_header=True)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             DatasetSource(format="xlsx", column=0)

@@ -36,22 +36,18 @@ class TestSequenceSpec:
         spec = SequenceSpec.powers(2, 13)
         assert spec.kind == "powers" and spec.power_base == 2 and spec.length == 13
 
-    def test_explicit_sets_length(self):
-        spec = SequenceSpec.explicit([7])
-        assert spec.length == 1 and spec.values == (7,)
-
     @pytest.mark.parametrize(
         "build",
         [
             lambda: SequenceSpec.powers(1, 5),
             lambda: SequenceSpec.powers(2, 0),
             lambda: SequenceSpec.powers(2.5, 5),
-            lambda: SequenceSpec.explicit([]),
-            lambda: SequenceSpec.explicit([3, 0]),
-            lambda: SequenceSpec.explicit([3.5]),
+            lambda: SequenceSpec.fibonacci(0),
+            lambda: SequenceSpec.factorial(-1),
+            lambda: SequenceSpec.fibonacci(2.0),
             lambda: SequenceSpec(kind="primes", length=5),
             lambda: SequenceSpec(kind="factorial", length=5, power_base=2),
-            lambda: SequenceSpec(kind="explicit", length=2, values=(1,)),
+            lambda: SequenceSpec(kind="explicit", length=1),
         ],
     )
     def test_invalid_specs_rejected(self, build):
@@ -62,9 +58,6 @@ class TestSequenceSpec:
 class TestGenerate:
     def test_powers_of_two(self):
         assert list(generate(SequenceSpec.powers(2, 5))) == [1, 2, 4, 8, 16]
-
-    def test_explicit_single(self):
-        assert list(generate(SequenceSpec.explicit([7]))) == [7]
 
     def test_fibonacci_matches_recurrence(self):
         assert list(generate(SequenceSpec.fibonacci(7))) == [1, 1, 2, 3, 5, 8, 13]
@@ -106,10 +99,6 @@ class TestLeadingDigitSequence:
         spec = SequenceSpec.factorial(40)
         direct = [leading_digit_int(x, base) for x in generate(spec)]
         assert list(iter_leading_digits(spec, base)) == direct
-
-    def test_non_monotone_explicit_sequence(self):
-        spec = SequenceSpec.explicit([999, 1, 31, 2 ** 40, 7])
-        assert list(iter_leading_digits(spec, 10)) == [9, 1, 3, 1, 7]
 
 
 class TestRationalLogCycles:

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from benford_radix.digits import Digit
 from benford_radix.model import BenfordPmf, benford_pmf
-from benford_radix.reference import BENFORD_1938_FIRST_DIGIT
 from benford_radix.sequences import (
     SequenceSpec,
     iter_leading_digits,
@@ -19,10 +18,8 @@ from benford_radix.stats import (
     chi_square_fit,
     chi_square_p_value,
     chunked_tally,
-    frequencies,
     leading_one_by_base,
     merge,
-    regularized_gamma_q,
     tally,
 )
 
@@ -111,39 +108,6 @@ class TestMerge:
         assert (h + DigitHistogram.zero(10)) == h
 
 
-class TestFrequencies:
-    def test_doubling_sequence_frequencies(self):
-        freqs = frequencies(tally(POW2_FIRST13_DIGITS, 10))
-        expected = [4 / 13, 3 / 13, 1 / 13, 2 / 13, 1 / 13, 1 / 13, 0, 1 / 13, 0]
-        assert freqs == pytest.approx(expected, abs=1e-15)
-
-    def test_single_observation(self):
-        hist = tally([5], 10)
-        assert frequencies(hist)[4] == 1.0
-
-    def test_recovers_reference_column(self):
-        hist = DigitHistogram(base=10, counts=TABLE1_COUNTS)
-        freqs = frequencies(hist)
-        for d in range(1, 10):
-            assert freqs[d - 1] == pytest.approx(
-                BENFORD_1938_FIRST_DIGIT[d], abs=5e-4
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyHistogram):
-            frequencies(DigitHistogram.zero(10))
-
-    @given(
-        base=st.integers(2, 16),
-        digits=st.data(),
-    )
-    def test_sums_to_one(self, base, digits):
-        ds = digits.draw(
-            st.lists(st.integers(1, base - 1), min_size=1, max_size=200)
-        )
-        assert sum(frequencies(tally(ds, base))) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestRegularizedGamma:
     @pytest.mark.parametrize(
         "s,x",
@@ -154,16 +118,30 @@ class TestRegularizedGamma:
         ],
     )
     def test_matches_mpmath(self, s, x):
-        assert regularized_gamma_q(s, x) == pytest.approx(
+        # the chi-square tail with df = 2s at statistic 2x is Q(s, x)
+        assert chi_square_p_value(2 * x, int(2 * s)) == pytest.approx(
             gamma_q_by_mpmath(s, x), abs=1e-12
         )
 
     def test_edges(self):
-        assert regularized_gamma_q(3.0, 0.0) == 1.0
+        assert chi_square_p_value(0.0, 6) == 1.0
         with pytest.raises(ValueError):
-            regularized_gamma_q(0.0, 1.0)
+            chi_square_p_value(2.0, 0)
         with pytest.raises(ValueError):
-            regularized_gamma_q(1.0, -1.0)
+            chi_square_p_value(-2.0, 2)
+
+    def test_every_df_over_six_decades(self):
+        # every df a fit can have (bases 3..64), statistics 1e-3..2e3
+        statistics = [10 ** (k / 4) for k in range(-12, 14)]
+        for df in range(1, 63):
+            for x in statistics:
+                assert chi_square_p_value(x, df) == pytest.approx(
+                    gamma_q_by_mpmath(df / 2, x / 2), rel=1e-10, abs=1e-300
+                ), (df, x)
+
+    def test_negative_statistic_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            chi_square_p_value(-1e-9, 8)
 
     def test_p_value_monotone_in_statistic(self):
         for df in (1, 4, 8, 15):

@@ -10,9 +10,8 @@ import io
 import os
 import re
 import sys
-from typing import Iterator
 
-from .digits import NoSignificantDigit, check_base, leading_digit_decimal_string
+from .digits import check_base, numeral_digits
 from .ingest import DatasetSource, IngestStats, ingest
 from .model import benford_pmf
 from .reference import BENFORD_1938_FIRST_DIGIT
@@ -136,15 +135,6 @@ def _cmd_table2(args) -> ReportDocument:
     )
 
 
-def _nonzero_digits(numerals, base: int) -> Iterator[int]:
-    """Leading digits of the numerals; zeros, which have none, are dropped."""
-    for numeral in numerals:
-        try:
-            yield leading_digit_decimal_string(numeral, base)
-        except NoSignificantDigit:
-            pass
-
-
 def _cmd_analyze(args) -> ReportDocument:
     base = check_base(args.base)
     source = DatasetSource(
@@ -159,7 +149,7 @@ def _cmd_analyze(args) -> ReportDocument:
         fh = open(args.path, encoding="utf-8-sig", newline="")
         release = fh.close
     try:
-        hist = tally(_nonzero_digits(ingest(source, fh, stats), base), base)
+        hist = tally(numeral_digits(ingest(source, fh, stats), base), base)
     finally:
         release()
     zeros = stats.records - hist.total
@@ -251,6 +241,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout whole, or raise OSError.
+
+    Unbuffered (``PYTHONUNBUFFERED=1``), the text layer ignores the short
+    count of a raw write that a closing pipe cuts off, so the bytes go to
+    the binary layer in a loop; the next write then fails with EPIPE.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
+    out.flush()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -261,11 +269,11 @@ def main(argv=None) -> int:
         doc = args.handler(args)
         if doc is not None:
             if args.json:
-                print(render_json(doc))
+                _write_stdout(render_json(doc) + "\n")
             elif args.csv:
-                sys.stdout.write(render_csv(doc))
+                _write_stdout(render_csv(doc))
             else:
-                sys.stdout.write(render_text(doc))
+                _write_stdout(render_text(doc))
         sys.stdout.flush()
     except (UnicodeDecodeError, OSError) as exc:
         print(f"benford-radix: error: {exc}", file=sys.stderr)

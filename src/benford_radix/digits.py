@@ -1,8 +1,14 @@
 """Exact extraction of first significant digits in arbitrary finite bases.
 
 Everything in this module is integer arithmetic; there is deliberately no
-floating point anywhere, because these functions serve as the correctness
-reference for the faster logarithmic paths elsewhere in the package.
+floating point in any reported digit, because these functions serve as the
+correctness reference for the faster logarithmic paths elsewhere in the
+package. (A float only guesses where to start an exact search.)
+
+Decimal numerals (the grammar of `is_decimal_numeral`, exponents included)
+have one digit engine, `numeral_digits`: in base 10 it reads the first
+significant character, and in any other base it reads the numeral as the
+exact rational p/10**k and places its exponent by integer comparisons.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import math
 import operator
 import re
 from decimal import Decimal
+from typing import Iterable, Iterator
 
 MIN_BASE = 2
 MAX_BASE = 64
@@ -19,7 +26,16 @@ MAX_BASE = 64
 #: Only table rendering accepts it; every digit-extraction routine rejects it.
 INFINITE = float("inf")
 
-_NUMERAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+#: Significant digits an exponent may have (|e| <= 9999): that is past any
+#: measured quantity, while 10**(10**6) would cost seconds per record.
+MAX_EXPONENT_DIGITS = 4
+
+_MANTISSA = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_NUMERAL_RE = re.compile(_MANTISSA + rf"(?:[eE][+-]?0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}})?")
+_ANY_EXPONENT_RE = re.compile(_MANTISSA + r"[eE][+-]?[0-9]+")
+
+_FIRST_DIGIT = {str(d): d for d in range(1, 10)}
+_TENS = tuple(10**k for k in range(32))
 
 
 class NoSignificantDigit(ValueError):
@@ -86,40 +102,24 @@ def _checked_magnitude(n) -> int:
     return m
 
 
-def _floor_power(n: int, base: int) -> int:
-    """The largest power base**e <= n, for n >= 1.
-
-    Uses repeated squaring plus a binary descent, so it stays exact and
-    needs only O(log e) big-integer multiplications.
-    """
-    squares = []
-    p = base
-    while p <= n:
-        squares.append(p)
-        p = p * p
-    acc = 1
-    for square in reversed(squares):
-        cand = acc * square
-        if cand <= n:
-            acc = cand
-    return acc
-
-
 def _leading_digit(p: int, q: int, b: int) -> int:
     """First significant digit of p/q in base b, for checked ints p, q >= 1.
 
     Finds the unique d and integer e with d * b**e <= p/q < (d+1) * b**e
     by exact integer comparisons.
     """
-    if p >= q:
-        # Leading digit of the value equals that of its integer part: with
-        # m = p // q and L its digit count, b**(L-1) <= m <= value < m+1 <= b**L.
-        m = p // q
-        return m // _floor_power(m, b)
-    # value < 1: scale up by the smallest power of b that reaches 1.
-    c = (q + p - 1) // p  # ceil(q / p) >= 2
-    w = _floor_power(c - 1, b) * b  # smallest b**j >= c, so value * w in [1, b)
-    return p * w // q
+    # If p >= q the digit is that of the integer part n = p // q. Otherwise
+    # n = (q-1) // p = ceil(q/p) - 1 >= 1, and the value times w * b, the
+    # smallest power of b >= ceil(q/p), lies in [1, b). Either way w is the
+    # largest power of b <= n. As b**e <= 2**(bits-1) <= n for
+    # e <= (bits-1) / log2(b), that less one (for the float's rounding) is a
+    # lower bound on e, and at most three exact steps remain.
+    n = p // q if p >= q else (q - 1) // p
+    e = int((n.bit_length() - 1) / math.log2(b)) - 1
+    w = b**e if e > 0 else 1
+    while w * b <= n:
+        w *= b
+    return n // w if p >= q else p * w * b // q
 
 
 def leading_digit_int(n, base) -> Digit:
@@ -142,31 +142,62 @@ def leading_digit_fraction(numerator, denominator, base) -> Digit:
 
 def is_decimal_numeral(text: str) -> bool:
     """The package's numeral grammar: an optional sign, then digits with at
-    most one point (``-12``, ``0.5``, ``.5``, ``3.``), and nothing else."""
+    most one point (``-12``, ``0.5``, ``.5``, ``3.``), then optionally an
+    exponent of at most MAX_EXPONENT_DIGITS significant digits (``1.5e3``,
+    ``2E-4``), and nothing else."""
     return _NUMERAL_RE.fullmatch(text) is not None
+
+
+def exponent_out_of_range(text: str) -> bool:
+    """Whether ``text`` is a numeral but for an exponent past the grammar's bound."""
+    return _NUMERAL_RE.fullmatch(text) is None and _ANY_EXPONENT_RE.fullmatch(text) is not None
+
+
+def numeral_digits(numerals: Iterable[str], base) -> Iterator[int]:
+    """First significant digits of decimal numerals read in ``base``, as plain ints.
+
+    Every numeral must already pass `is_decimal_numeral`, as `ingest` yields
+    them; nothing here checks it again. Zeros, which have no significant
+    digit, are dropped. In base 10 the digit is the first character left
+    after the sign, zeros and point. In any other base the numeral is the
+    exact rational p/10**k, with k the fraction digits less the exponent;
+    a numeral too long for int() is read through `Decimal` instead.
+    """
+    b = check_base(base)
+    if b == 10:
+        first = _FIRST_DIGIT.get
+        for text in numerals:
+            d = first(text.lstrip("+-0.")[:1])  # None for "" or an exponent mark
+            if d:
+                yield d
+        return
+    for text in numerals:
+        mantissa, _, exponent = text.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        try:
+            p = abs(int(whole + frac))
+            k = len(frac) - int(exponent) if exponent else len(frac)
+        except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
+            p, q = Decimal(text).as_integer_ratio()
+            p = abs(p)
+        else:
+            if k >= 0:
+                q = _TENS[k] if k < len(_TENS) else 10**k
+            else:
+                p, q = p * 10**-k, 1
+        if p:
+            yield _leading_digit(p, q, b)
 
 
 def leading_digit_decimal_string(s: str, base=10) -> int:
     """First significant digit of a decimal numeral string, read in ``base``.
 
-    Returns a plain int, since `analyze` calls this once per record. The
-    stripped string must pass `is_decimal_numeral`. For base 10 this is
-    a pure character scan (skip sign, zeros and the point), which is exact
-    by the definition of significant digit and builds no integer. For any
-    other base the string is read as the exact rational p/10**k, of any
-    length, and the digit is located by integer comparisons.
+    Returns a plain int. The stripped string must pass `is_decimal_numeral`;
+    the digit comes from `numeral_digits`, and zero raises NoSignificantDigit.
     """
-    b = check_base(base)
     text = s.strip()
     if not is_decimal_numeral(text):
         raise NumeralParseError(f"not a decimal numeral: {s!r}")
-    if b == 10:
-        significant = text.lstrip("+-0.")
-        if not significant:
-            raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
-        return int(significant[0])
-    # unlike int(), Decimal has no limit on the number of digits it reads
-    p, q = Decimal(text).as_integer_ratio()
-    if p == 0:
-        raise NoSignificantDigit(f"no significant digit: {s!r} is zero")
-    return _leading_digit(abs(p), q, b)
+    for d in numeral_digits((text,), base):
+        return d
+    raise NoSignificantDigit(f"no significant digit: {s!r} is zero")

@@ -2,7 +2,8 @@
 
 Numerals are passed through verbatim as strings; nothing is ever routed
 through binary floating point, so the digit statistics downstream stay exact.
-Dirty records (blanks, non-numeric tokens) are skipped and counted, not fatal.
+Dirty records (blanks, non-numeric tokens, exponents past the grammar's
+bound) are skipped and counted, not fatal.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .digits import is_decimal_numeral
+from .digits import MAX_EXPONENT_DIGITS, exponent_out_of_range, is_decimal_numeral
 
 
 class IngestError(ValueError):
@@ -49,6 +50,7 @@ class IngestStats:
     records: int = 0
     skipped_blank: int = 0
     skipped_non_numeric: int = 0
+    skipped_exponent: int = 0
 
     def warnings(self) -> list[str]:
         out = []
@@ -56,6 +58,9 @@ class IngestStats:
             out.append(f"skipped {self.skipped_blank} blank field(s)")
         if self.skipped_non_numeric:
             out.append(f"skipped {self.skipped_non_numeric} non-numeric token(s)")
+        if self.skipped_exponent:
+            bound = 10**MAX_EXPONENT_DIGITS - 1
+            out.append(f"skipped {self.skipped_exponent} numeral(s) with |exponent| > {bound}")
         return out
 
 
@@ -65,7 +70,10 @@ def _emit(token: str, stats: IngestStats) -> str | None:
         stats.skipped_blank += 1
         return None
     if not is_decimal_numeral(text):
-        stats.skipped_non_numeric += 1
+        if exponent_out_of_range(text):
+            stats.skipped_exponent += 1
+        else:
+            stats.skipped_non_numeric += 1
         return None
     stats.records += 1
     return text

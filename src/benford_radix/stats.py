@@ -72,20 +72,27 @@ def tally(digits: Iterable[int], base) -> DigitHistogram:
     """Count leading-digit occurrences from a stream of digits.
 
     Accepts Digit instances (whose base must match; a mismatch raises
-    RadixMismatch) or plain ints in 1..base-1.
+    RadixMismatch) or plain ints in 1..base-1. A plain int costs one range
+    check; anything else goes through `_checked_digit`.
     """
     b = check_base(base)
-    counts = [0] * (b - 1)
+    counts = [0] * b  # indexed by the digit; counts[0] stays 0
     for d in digits:
-        if isinstance(d, Digit) and d.base != b:
-            raise RadixMismatch(
-                f"digit read in base {d.base} cannot be tallied in base {b}"
-            )
-        v = as_exact_int(d, "digit")
-        if not 1 <= v <= b - 1:
-            raise ValueError(f"digit {v} out of range 1..{b - 1} for base {b}")
-        counts[v - 1] += 1
-    return DigitHistogram(base=b, counts=tuple(counts))
+        if type(d) is int and 0 < d < b:
+            counts[d] += 1
+        else:
+            counts[_checked_digit(d, b)] += 1
+    return DigitHistogram(base=b, counts=tuple(counts[1:]))
+
+
+def _checked_digit(d, b: int) -> int:
+    """``d`` as an int in 1..b-1, or RadixMismatch/ValueError."""
+    if isinstance(d, Digit) and d.base != b:
+        raise RadixMismatch(f"digit read in base {d.base} cannot be tallied in base {b}")
+    v = as_exact_int(d, "digit")
+    if not 1 <= v <= b - 1:
+        raise ValueError(f"digit {v} out of range 1..{b - 1} for base {b}")
+    return v
 
 
 def merge(h1: DigitHistogram, h2: DigitHistogram) -> DigitHistogram:

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import test_documents
 from benford_radix import cli, digits, sequences
 from benford_radix.cli import main
-from benford_radix.digits import leading_digit_decimal_string
+from benford_radix.digits import leading_digit_decimal_string, leading_digit_fraction
 from benford_radix.stats import tally
 
 from oracles import leading_digit_by_fraction_scaling
@@ -290,6 +292,42 @@ class TestAnalyzeCommand:
             expected[d - 1] += 1
         assert json.loads(out)["histogram"]["counts"] == expected
 
+    @pytest.mark.parametrize("base", [10, 3, 7])
+    def test_exponent_notation(self, base, capsys, tmp_path):
+        # value -> (digits, k) of digits/10**k; the last two are refused
+        numerals = {"1.5e3": ("15", -2), "2E-4": ("2", 4), "+0.0e+7": ("00", 1),
+                    "-.5e-9999": ("5", 10000), "300": ("300", 0), "1e10000": None, "5e-99999": None}
+        data = tmp_path / "exp.txt"
+        data.write_text("\n".join(numerals) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(data), "--base", str(base), "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        expected = [0] * (base - 1)
+        for case in numerals.values():
+            if case is not None and int(case[0]):
+                p, k = int(case[0]), case[1]
+                p, q = (p, 10**k) if k >= 0 else (p * 10**-k, 1)
+                expected[leading_digit_by_fraction_scaling(p, q, base) - 1] += 1
+        assert doc["histogram"]["counts"] == expected
+        assert "skipped 2 numeral(s) with |exponent| > 9999" in doc["warnings"]
+        assert "skipped 1 zero value(s)" in doc["warnings"]
+
+    @pytest.mark.parametrize("base", [3, 7])
+    def test_huge_numerals_finish_quickly(self, base, capsys, tmp_path):
+        body = "".join(str(i * i % 10) for i in range(3, 20003))
+        data = tmp_path / "huge.txt"
+        data.write_text(f"{body}\n1e-9999\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", str(data), "--base", str(base), "--json")
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        expected = [0] * (base - 1)
+        p = int(Decimal(body))  # Decimal reads past int()'s digit limit
+        for d in (leading_digit_fraction(p, 1, base), leading_digit_fraction(1, 10**9999, base)):
+            expected[d - 1] += 1
+        assert json.loads(out)["histogram"]["counts"] == expected
+        assert elapsed < 5  # about 0.05 s; the bound only catches a blow-up
+
     def test_stdin_with_bom_matches_the_file(self, capsys, tmp_path, monkeypatch):
         table = 'area,name\r\n335,"volga\r\nriver"\r\n3349000,nile\r\n0,x\r\n'
         data = tmp_path / "rivers.csv"
@@ -358,11 +396,14 @@ class TestRoundTrip:
 
 
 class TestCliContract:
-    def test_closed_stdout_pipe_is_io_error(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_is_io_error(self, unbuffered):
         # Unbuffered, CPython's text layer ignores the short count of a raw
-        # write cut off by the closed pipe; Python buffers a pipe by default.
+        # write cut off by the closed pipe, so main writes the bytes itself.
         src = Path(cli.__file__).parents[1]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         argv = [sys.executable, "-m", "benford_radix.cli", "sequence", "--kind", "pow2", "-n", "200000"]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

@@ -1,5 +1,9 @@
+import contextlib
+import sys
+from decimal import Decimal
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford_radix.digits import (
@@ -12,12 +16,65 @@ from benford_radix.digits import (
     leading_digit_decimal_string,
     leading_digit_fraction,
     leading_digit_int,
+    numeral_digits,
 )
 
 from oracles import expansion_by_division, leading_digit_by_fraction_scaling
 
 # 2**100, frozen from the repeated-doubling oracle (pow2_decimal_by_doubling(100))
 POW2_100_DECIMAL = "1267650600228229401496703205376"
+
+# Digit bodies past int()'s default 4300-digit limit, whose exponents
+# reach thousands in every base.
+LONG_BODIES = tuple(
+    "".join(str(i * i % 10) for i in range(start, start + size))
+    for start, size in ((1, 5000), (7, 20000))
+)
+
+
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """Run with sys.set_int_max_str_digits(limit), where Python has the limit."""
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@st.composite
+def numerals(draw):
+    """(numeral, its digits with the point removed, k) for the value digits/10**k."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    body = draw(st.text("0123456789", max_size=25) | st.sampled_from(LONG_BODIES))
+    cut = draw(st.integers(0, len(body)))
+    whole = "0" * draw(st.integers(0, 3)) + body[:cut]
+    frac = body[cut:]
+    if not whole and not frac:
+        whole = "0"
+    point = "." if frac or draw(st.booleans()) else ""  # "3." and ".5" forms
+    text = f"{sign}{whole}{point}{frac}"
+    exponent = draw(st.none() | st.integers(-9999, 9999))
+    if exponent is not None:
+        plus = "+" if exponent >= 0 and draw(st.booleans()) else ""
+        zeros = "0" * draw(st.integers(0, 2))
+        mark = draw(st.sampled_from("eE"))
+        text += f"{mark}{'-' if exponent < 0 else plus}{zeros}{abs(exponent)}"
+    return text, whole + frac, len(frac) - (exponent or 0)
+
+
+def fraction_digit(digits: str, k: int, base: int):
+    """The digit leading_digit_fraction gives for digits/10**k, or None for zero."""
+    p = int(Decimal(digits))  # Decimal reads any length
+    if p == 0:
+        return None
+    if k < 0:
+        return int(leading_digit_fraction(p * 10**-k, 1, base))
+    return int(leading_digit_fraction(p, 10**k, base))
 
 
 class TestDigitType:
@@ -106,12 +163,12 @@ class TestLeadingDigitDecimalString:
     def test_returns_a_plain_int(self, base):
         assert type(leading_digit_decimal_string("-0.00312", base)) is int
 
-    @pytest.mark.parametrize("s", ["0", "0.000", "-0.0", "+.0"])
+    @pytest.mark.parametrize("s", ["0", "0.000", "-0.0", "+.0", "0e5", "0.000E-3"])
     def test_zero_values_rejected(self, s):
         with pytest.raises(NoSignificantDigit):
             leading_digit_decimal_string(s, 10)
 
-    @pytest.mark.parametrize("s", ["", "n/a", "1e5", "1,5", "--3", "3.1.4", "."])
+    @pytest.mark.parametrize("s", ["", "n/a", "1e", "1e10000", "1,5", "--3", "3.1.4", "."])
     def test_non_numerals_rejected(self, s):
         with pytest.raises(NumeralParseError):
             leading_digit_decimal_string(s, 10)
@@ -129,6 +186,32 @@ class TestLeadingDigitDecimalString:
         frac_len = len(s.split(".")[1]) if "." in s else 0
         expected = leading_digit_by_fraction_scaling(int(digits), 10 ** frac_len, base)
         assert leading_digit_decimal_string(s, base) == expected
+
+
+class TestNumeralDigits:
+    @pytest.mark.parametrize("limit", [None, 640])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cases=st.lists(numerals(), min_size=1, max_size=4),
+        base=st.integers(min_value=2, max_value=64),
+    )
+    def test_stream_equals_the_fraction_digit(self, limit, cases, base):
+        # 640 digits sends numerals of more digits through the Decimal route
+        expected = [fraction_digit(digits, k, base) for _, digits, k in cases]
+        with int_str_digits(limit):
+            streamed = list(numeral_digits([text for text, _, _ in cases], base))
+            for (text, _, _), want in zip(cases, expected):
+                if want is None:
+                    with pytest.raises(NoSignificantDigit):
+                        leading_digit_decimal_string(text, base)
+                else:
+                    assert leading_digit_decimal_string(text, base) == want
+        assert streamed == [d for d in expected if d is not None]
+        assert all(type(d) is int for d in streamed)
+
+    def test_base_is_checked_before_any_numeral(self):
+        with pytest.raises(FiniteBaseRequired):
+            next(numeral_digits(iter(()), INFINITE))
 
 
 class TestLeadingDigitFraction:
@@ -168,6 +251,19 @@ class TestProperties:
     )
     def test_leading_digit_heads_the_expansion(self, n, base):
         assert leading_digit_int(n, base) == expansion_by_division(n, base)[0]
+
+    @given(
+        d=st.integers(min_value=1, max_value=63),
+        e=st.integers(min_value=0, max_value=600),
+        rest=st.floats(min_value=0, max_value=1, exclude_max=True),
+        base=st.integers(min_value=2, max_value=64),
+    )
+    def test_digit_by_construction_at_any_size(self, d, e, rest, base):
+        # n = d * b**e + r with 0 <= r < b**e has leading digit d, for any e
+        d = d % (base - 1) + 1
+        r = int(rest * 2**53) * base**e >> 53
+        assert leading_digit_int(d * base**e + r, base) == d
+        assert leading_digit_fraction(d * base**e + r, base ** (2 * e), base) == d
 
     @given(
         n=st.integers(min_value=1, max_value=10 ** 30),

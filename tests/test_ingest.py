@@ -47,6 +47,22 @@ class TestPlainLines:
         assert tokens == ["12"]
         assert stats.skipped_blank == 3
 
+    def test_exponents_within_the_bound_are_numerals(self):
+        text = "1.5e3\n2E-4\n+0.0e+7\n7e0009999\n"
+        tokens, stats = run_ingest(DatasetSource(format="lines"), text)
+        assert tokens == ["1.5e3", "2E-4", "+0.0e+7", "7e0009999"]
+        assert stats.records == 4 and not stats.warnings()
+
+    def test_exponent_beyond_the_bound_has_its_own_count(self):
+        text = "1e10000\n-2.5E-123456\n3e\ne5\n8\n"
+        tokens, stats = run_ingest(DatasetSource(format="lines"), text)
+        assert tokens == ["8"]
+        assert stats.skipped_exponent == 2 and stats.skipped_non_numeric == 2
+        assert stats.warnings() == [
+            "skipped 2 non-numeric token(s)",
+            "skipped 2 numeral(s) with |exponent| > 9999",
+        ]
+
     def test_numerals_kept_verbatim(self):
         tokens, _ = run_ingest(
             DatasetSource(format="lines"), "0012.500\n-0.00312\n+7\n.5\n"

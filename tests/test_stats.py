@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +76,34 @@ class TestTally:
     def test_accepts_digit_instances_of_matching_base(self):
         hist = tally([Digit(3, base=10), Digit(3, base=10)], 10)
         assert hist.count(3) == 2
+
+
+class TestTallyGuard:
+    """Plain ints take one range check; everything else the full checks."""
+
+    @pytest.mark.parametrize("bad", [-1, 0, 10, 3.0])
+    def test_out_of_range_or_inexact_raises(self, bad):
+        with pytest.raises(ValueError) as info:
+            tally([bad], 10)
+        assert not isinstance(info.value, RadixMismatch)
+
+    def test_bool_counts_as_one(self):
+        assert tally([True], 10).counts == (1,) + (0,) * 8
+
+    @pytest.mark.parametrize(
+        "digits", [[Digit(1, 2), Digit(1, 10)], [1, Digit(1, 7)]], ids=["two-bases", "int-then-base7"]
+    )
+    @pytest.mark.parametrize("base", [2, 10])
+    def test_foreign_digits_raise(self, digits, base):
+        with pytest.raises(RadixMismatch):
+            tally(digits, base)
+
+    @pytest.mark.parametrize("base", [2, 7, 64])
+    def test_plain_ints_count_like_a_counter(self, base):
+        rng = random.Random(base)
+        digits = [rng.randrange(1, base) for _ in range(100_000)]
+        counter = Counter(digits)
+        assert tally(digits, base).counts == tuple(counter[d] for d in range(1, base))
 
 
 class TestMerge:

@@ -10,6 +10,7 @@ import io
 import os
 import re
 import sys
+from itertools import islice
 
 from .digits import check_base, numeral_digits
 from .ingest import DatasetSource, IngestStats, ingest
@@ -103,8 +104,17 @@ def _cmd_sequence(args) -> ReportDocument | None:
     base = check_base(args.base)
     spec = _parse_kind(args.kind, args.n)
     if args.emit_values:
-        for value in generate(spec):
-            print(value)
+        # terms outgrow the int-to-str digit limit (0: none): lift it meanwhile
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            lines = map(str, generate(spec))
+            while chunk := list(islice(lines, 256)):
+                _write_stdout("\n".join(chunk) + "\n")
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         return None
     if args.tally:
         hist = tally(iter_leading_digits(spec, base), base)
@@ -228,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="first-digit audit of a numeric dataset")
     p.add_argument("path", help="input file, or - for stdin")
     p.add_argument("--format", choices=("csv", "lines"), default="lines")
-    p.add_argument("--column", help="CSV column: 0-based index or header name")
+    p.add_argument("--column", help="CSV column: 0-based index or header name (all digits: "
+                   "a name only if the first row, not skipped, is too short for that index)")
     p.add_argument(
         "--skip-header",
         action="store_true",

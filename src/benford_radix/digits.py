@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from decimal import Decimal
 from typing import Iterable, Iterator
 
 MIN_BASE = 2
@@ -178,6 +177,7 @@ def numeral_digits(numerals: Iterable[str], base) -> Iterator[int]:
             p = abs(int(whole + frac))
             k = len(frac) - int(exponent) if exponent else len(frac)
         except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
+            from decimal import Decimal
             p, q = Decimal(text).as_integer_ratio()
             p = abs(p)
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .digits import MAX_EXPONENT_DIGITS, exponent_out_of_range, is_decimal_numeral
@@ -109,7 +110,13 @@ def ingest(
     rows = _rows(reader)
     column = source.column
     if isinstance(column, str) and column.isdigit():
-        column = int(column)
+        # an index, unless the first row is too short for it but holds it as a name
+        first = next(rows, None)
+        if first is None:
+            return
+        if source.skip_header or int(column) < len(first) or column not in first:
+            column = int(column)
+        rows = chain([first], rows)
     if isinstance(column, str):
         try:
             header = next(rows)

@@ -2,13 +2,14 @@
 
 The leading digit of a term x in base b is fixed by frac(log_b x): digit d
 owns [log_b d, log_b(d+1)). The streams here never build the terms. They
-carry that fractional part in 128-bit fixed point together with a running
-error bound:
+carry that fractional part in 128-bit fixed point, with logarithms from one
+plain-int kernel, the atanh series `_atanh` (Brent and Zimmermann, Modern
+Computer Arithmetic, ch. 4), together with a running error bound:
 
 - powers a**k: s = k*log_b(a) mod 1, one addition per term. When a and b
   are powers of one integer the digit cycle is computed exactly instead;
 - Fibonacci F_m: m*log_b(phi) - log_b(sqrt 5) after an exact prefix;
-- factorials m!: a running sum of log_b(p) over the prime factors of m.
+- factorials m!: a running sum of ln m, each carried from ln(m-1).
 
 A digit is emitted only when s lies farther from every digit boundary than
 the bound; that is what makes the stream certified. A term that fails the
@@ -22,7 +23,6 @@ single-precision 128-bit probe.
 
 from __future__ import annotations
 
-import decimal
 import math
 from bisect import bisect_right
 from collections import deque
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .digits import MAX_BASE, Digit, as_exact_int, check_base, leading_digit_int
+from .digits import Digit, as_exact_int, check_base, leading_digit_int
 
 #: Fractional bits used for all fixed-point logarithms. 128 bits leave the
 #: propagated error (a few units times the exponent k) negligible against
@@ -38,10 +38,10 @@ from .digits import MAX_BASE, Digit, as_exact_int, check_base, leading_digit_int
 LOG_FRACTIONAL_BITS = 128
 
 _FP_ONE = 1 << LOG_FRACTIONAL_BITS
-# Per-constant fixed-point error in units of 2**-bits. The constants come
-# from correctly-rounded decimal ln() carried to 15/32 digits per bit (60
-# digits at 128 bits), so the real error is a half unit plus ~1e-20 units;
-# 2 is a comfortable ceiling.
+# Per-constant fixed-point error in units of 2**-bits. Each constant is a
+# ratio of kernel logs carried with 32 or more guard bits and rounded once,
+# so it is off by under a half unit plus 2**-25 units (`_log_fixed_point`,
+# `_fibonacci_logs`); 2 is a comfortable ceiling.
 _FP_CONST_ERR = 2
 
 #: Largest term, in bits, that the resolver builds exactly (0.3 s to read
@@ -56,77 +56,74 @@ _FIB_EXACT_PREFIX = 200
 _STREAM_BLOCK = 1 << 12
 
 
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) by Newton iteration on integers."""
-    if n < 2 or k == 1:
-        return n
-    x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) >= true root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(n: int) -> tuple[int, int]:
-    """Decompose n >= 2 as g**j with g not itself a perfect power."""
-    for j in range(n.bit_length() - 1, 1, -1):
-        r = _integer_root(n, j)
-        if r ** j == n:
-            return r, j
-    return n, 1
+def _exponent(n: int, g: int) -> int:
+    """u >= 1 with n = g**u, or 0 when n >= 2 is not a power of g."""
+    u = 0
+    while n % g == 0:
+        n //= g
+        u += 1
+    return u if n == 1 else 0
 
 
 def _common_root(a: int, base: int) -> tuple[int, int, int] | None:
     """(g, u, v) with a = g**u and base = g**v when both are powers of one
     integer, else None.
 
-    Only the small base is decomposed: a shares its primitive root g exactly
-    when a is a power of g.
+    g is the least root of the small base, so it is not itself a perfect
+    power, and a shares a root with base exactly when a is a power of g.
     """
-    g, v = _primitive_root(base)
-    u = 0
-    while a % g == 0:
-        a //= g
-        u += 1
-    return (g, u, v) if a == 1 else None
+    g = next(g for g in range(2, base + 1) if _exponent(base, g))
+    u = _exponent(a, g)
+    return (g, u, _exponent(base, g)) if u else None
 
 
-def _decimal_prec(bits: int) -> int:
-    """Significant digits behind a bits-bit fixed point: 60 at 128 bits."""
-    return bits * 15 // 32
+def _atanh(num: int, den: int, p: int) -> int:
+    """atanh(x) * 2**p within one unit, x = num/den in [0, 1/2], p >= 1.
+
+    The sum of x**(2i+1)/(2i+1) runs at w = p + g bits. Each power t_i,
+    floored from the last, is low by under 1/(1 - x*x) <= 4/3 units of
+    2**-w, so a summed t_i // (2i+1) is low by under 7/3 and the tail past
+    the first t_J = 0 is under (4/3)**2. As t_i >= 1 needs 2i + 1 <= w,
+    J <= (w + 1)/2 and the sum is low by under 3(J + 1) <= 3(p + g + 3)/2
+    < 2**(g-1); rounding off the g guard bits adds half a unit.
+    """
+    n2, d2 = num * num, den * den
+    g = p.bit_length() + 4
+    t = (num << (p + g)) // den
+    s, i = 0, 1
+    while t:
+        s += t // i
+        t = t * n2 // d2
+        i += 2
+    return (s + (1 << (g - 1))) >> g
 
 
-def _ln(x: int, bits: int) -> decimal.Decimal:
-    """Correctly rounded ln(x) at the decimal precision of a bits-bit fixed point."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = _decimal_prec(bits)
-        return decimal.Decimal(x).ln()
+@lru_cache(maxsize=1024)
+def _ln_fixed(x: int, w: int) -> int:
+    """ln(x) * 2**w for an integer x >= 1, off by under 2 * x.bit_length() units:
+    ln x = k ln 2 + 2 atanh((x - 2**k)/(x + 2**k)) for 2**k <= x < 2**(k+1), the
+    argument in [0, 1/3), and ln 2 = 2 atanh(1/3), 2 units per ln 2 and 2 more."""
+    k = x.bit_length() - 1
+    return 2 * (k * _atanh(1, 3, w) + _atanh(x - (1 << k), x + (1 << k), w))
 
 
-# Logarithms of digits and bases (all <= MAX_BASE): each is computed once
-# per precision and shared by every base.
-_ln_radix = lru_cache(maxsize=None)(_ln)
-
-
-def _to_fixed(ln_x: decimal.Decimal, ln_base: decimal.Decimal, bits: int) -> int:
-    """round(ln_x / ln_base * 2**bits) at the precision `_ln` used for ``bits``."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = _decimal_prec(bits)
-        scaled = ln_x / ln_base * (1 << bits)
-        return int(scaled.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
+def _ratio(ln_x: int, ln_base: int, bits: int) -> int:
+    """round(ln_x / ln_base * 2**bits). If ln_x, ln_base are off from xi * 2**w,
+    lam * 2**w (lam >= ln 2) by at most e_x, e_b < 2**(w-3) units, it is off
+    from xi/lam * 2**bits by at most 1/2 + 2**(bits-w+1) * (e_x + e_b*xi/lam),
+    as ln_base > 2**(w-1)."""
+    return ((ln_x << bits) + (ln_base >> 1)) // ln_base
 
 
 def _log_fixed_point(x: int, base: int, bits: int = LOG_FRACTIONAL_BITS) -> int:
     """round(log_base(x) * 2**bits), off by at most _FP_CONST_ERR units.
 
-    decimal's ln() is correctly rounded, so at 15/32 digits per bit the
-    ratio is good to ~1e-20 * log_base(x) units and the only real
-    contribution is the final half-unit rounding.
+    With L = x.bit_length(), ln x is off by under 2L units of 2**-w, ln base
+    by under 14, and log_base(x) < L. So at w = bits + 32 + L.bit_length(),
+    `_ratio` is off by under 1/2 + 2**(bits-w+1) * 16L < 1/2 + 2**-27 units.
     """
-    ln_x = _ln_radix(x, bits) if x <= MAX_BASE else _ln(x, bits)
-    return _to_fixed(ln_x, _ln_radix(base, bits), bits)
+    w = bits + 32 + x.bit_length().bit_length()
+    return _ratio(_ln_fixed(x, w), _ln_fixed(base, w), bits)
 
 
 @lru_cache(maxsize=None)
@@ -234,13 +231,14 @@ def _fibonacci(m: int) -> int:
 
 def _fibonacci_logs(base: int, bits: int) -> tuple[int, int]:
     """Fixed-point (log_base(phi), log_base(sqrt 5)) at ``bits``, each off by
-    at most _FP_CONST_ERR units."""
-    ln_base = _ln_radix(base, bits)
-    with decimal.localcontext() as ctx:
-        ctx.prec = _decimal_prec(bits)
-        ln_phi = ((1 + decimal.Decimal(5).sqrt()) / 2).ln()
-        ln_sqrt5 = _ln_radix(5, bits) / 2
-    return _to_fixed(ln_phi, ln_base, bits), _to_fixed(ln_sqrt5, ln_base, bits)
+    at most _FP_CONST_ERR units: ln phi = atanh(1/sqrt 5) is off by under 3/2
+    units of 2**-w (isqrt puts the argument high by about 2**-w/5, at slope
+    5/4), ln 5 by 6 and 2 ln base by 28, so by `_ratio` both are off by under
+    1/2 + 2**-25 units."""
+    w = bits + 32
+    ln_base = _ln_fixed(base, w)
+    ln_phi = _atanh(1 << w, math.isqrt(5 << 2 * w), w)
+    return _ratio(ln_phi, ln_base, bits), _ratio(_ln_fixed(5, w), 2 * ln_base, bits)
 
 
 def _fibonacci_err(m: int, bits: int) -> int:
@@ -287,47 +285,26 @@ def fibonacci_digits(n: int, b: int) -> Iterator[int]:
         )
 
 
-def _factorial_logs(n: int, base: int, bits: int) -> Iterator[tuple[int, int]]:
-    """Yield (s, err) for m = 1..n: s = fixed-point log_base(m!) mod 1 at
-    ``bits``, and err its error bound in units.
-
-    Each m is factored by trial division and s gains log_base(p) for every
-    prime factor p, so err is _FP_CONST_ERR per prime factor of m! (with
-    multiplicity) plus _FP_CONST_ERR + 1 for the boundaries. A prime's
-    logarithm is computed once: the table keeps the primes p <= n/2, the
-    only ones met again (as a factor of 2p, 3p, ...).
-    """
+def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:
+    """Yield fixed-point log_base(m!) mod 1 at ``bits`` for m = 1..n, each
+    off by under one unit: the running sum of ln m, each step ln m - ln(m-1)
+    = 2 atanh(1/(2m-1)) off by under 2 units of 2**-w, is off by under
+    m(m - 1) < m**2; with ln base off by under 14 and log_base(m!) < m**2,
+    `_ratio` is off by under 1/2 + 2**(bits-w+1) * 15 * m**2 < 1."""
+    w = bits + 2 * n.bit_length() + 6
+    ln_base = _ln_fixed(base, w)
     mask = (1 << bits) - 1
-    logs: dict[int, int] = {}
-    small_primes: list[int] = []  # primes p with p*p <= n
-    s, err = 0, _FP_CONST_ERR + 1
-    yield s, err
+    ln_m = total = 0
+    yield 0
     for m in range(2, n + 1):
-        r = m
-        for p in small_primes:
-            if p * p > r:
-                break
-            while r % p == 0:
-                r //= p
-                s += logs[p]
-                err += _FP_CONST_ERR
-        if r > 1:  # r is prime: no prime factor up to its square root is left
-            log_r = logs.get(r)
-            if log_r is None:
-                log_r = _log_fixed_point(r, base, bits)
-                if 2 * r <= n:
-                    logs[r] = log_r
-                if r * r <= n:
-                    small_primes.append(r)
-            s += log_r
-            err += _FP_CONST_ERR
-        s &= mask
-        yield s, err
+        ln_m += 2 * _atanh(1, 2 * m - 1, w)
+        total += ln_m
+        yield _ratio(total, ln_base, bits) & mask
 
 
 def _resolve_factorial(m: int, b: int) -> int:
     def log_at(bits):
-        return deque(_factorial_logs(m, b, bits), maxlen=1)[0]
+        return deque(_factorial_logs(m, b, bits), maxlen=1)[0], _FP_CONST_ERR + 2
 
     # m! < m**m < 2**(m * m.bit_length())
     return _resolve(b, m * m.bit_length(), lambda: math.factorial(m), log_at,
@@ -337,8 +314,9 @@ def _resolve_factorial(m: int, b: int) -> int:
 def factorial_digits(n: int, b: int) -> Iterator[int]:
     """Leading digits of 1!, 2!, .., n! in base b."""
     bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
-    for m, (s, err) in enumerate(_factorial_logs(n, b, LOG_FRACTIONAL_BITS), 1):
-        yield _certified(s, err, bounds) or _resolve_factorial(m, b)
+    # one unit for s, _FP_CONST_ERR for the boundary, one to spare
+    for m, s in enumerate(_factorial_logs(n, b, LOG_FRACTIONAL_BITS), 1):
+        yield _certified(s, _FP_CONST_ERR + 2, bounds) or _resolve_factorial(m, b)
 
 
 @dataclass(frozen=True)
@@ -378,10 +356,8 @@ def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:
     alpha = _log_fixed_point(a, b)
     s = (k * alpha) % _FP_ONE
     bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
-    i = bisect_right(bounds, s) - 1
-    distance = min(s - bounds[i], bounds[i + 1] - s)
-    err = k * _FP_CONST_ERR + _FP_CONST_ERR + 1
-    return FastDigit(Digit(i + 1, b), certain=distance > err)
+    d = _certified(s, k * _FP_CONST_ERR + _FP_CONST_ERR + 1, bounds)
+    return FastDigit(Digit(d or bisect_right(bounds, s), b), certain=d > 0)
 
 
 def leading_digit_power(a: int, k: int, base) -> Digit:

@@ -66,6 +66,22 @@ def log_ratio_by_mpmath(num: int, base: int) -> float:
         return float(mp.log(num) / mp.log(base))
 
 
+def atanh_scaled_by_mpmath(num: int, den: int, bits: int):
+    """atanh(num/den) * 2**bits as an mpmath number, with 30 digits to spare."""
+    import mpmath as mp
+
+    with mp.workdps(bits * 3 // 10 + 30):
+        return +(mp.atanh(mp.mpf(num) / den) * mp.mpf(2) ** bits)
+
+
+def log_fixed_by_mpmath(x: int, base: int, bits: int) -> int:
+    """round(log_base(x) * 2**bits) via mpmath, with 60 digits to spare."""
+    import mpmath as mp
+
+    with mp.workdps(bits * 3 // 10 + x.bit_length().bit_length() + 60):
+        return int(mp.nint(mp.log(x) / mp.log(base) * mp.mpf(2) ** bits))
+
+
 def leading_digit_of_power_by_mpmath(a: int, k: int, base: int, dps: int = 200) -> int:
     """Leading digit of a**k in `base` from base**frac(k*log_base(a)) at `dps` digits."""
     import mpmath as mp

@@ -28,6 +28,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_subprocess(argv, python_flags=(), **popen_kwargs):
+    """Popen of the CLI in a fresh interpreter, with this checkout's src/ on the path."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, *python_flags, "-m", "benford_radix.cli", *argv]
+    return subprocess.Popen(command, env=env, **popen_kwargs)
+
+
 class TestSequenceCommand:
     def test_doubling_sequence(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "pow2", "--base", "10", "-n", "13")
@@ -86,6 +95,27 @@ class TestSequenceCommand:
                                "--emit-values")
         assert code == 0
         assert out == "1\n2\n4\n8\n16\n"
+
+    def test_emit_values_past_the_int_string_limit(self):
+        # 2**19999 has 6021 digits, past the default 4300-digit str() limit
+        proc = cli_subprocess(
+            ["sequence", "--kind", "pow2", "-n", "20000", "--emit-values"],
+            stdout=subprocess.PIPE,
+        )
+        count, last = 0, b""
+        for line in proc.stdout:
+            count, last = count + 1, line
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert count == 20000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert last.decode() == str(2 ** 19999) + "\n"
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
     def test_fib_and_fact_kinds(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "fib", "-n", "7", "--json")
@@ -204,6 +234,19 @@ class TestAnalyzeCommand:
         )
         doc = json.loads(out)
         assert doc["histogram"]["counts"][2] == 2  # both start with 3
+
+    @pytest.mark.parametrize("text, column, counts", [
+        ("name,2019\nvolga,335\nnile,3349000\n", "2019", [0, 0, 2]),  # too short: a name
+        ("a,1,b\n5,23,9\n1,45,2\n", "1", [1, 1, 0, 1]),  # wide enough: index 1
+    ], ids=["header-name", "index"])
+    def test_all_digit_column(self, text, column, counts, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "analyze", str(data), "--format", "csv", "--column", column, "--json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["histogram"]["counts"][:len(counts)] == counts
 
     def test_matches_direct_string_scan(self, capsys, tmp_path):
         numerals = ["0.00312", "-712", "4964", "3.14", "0012", ".5", "900001"]
@@ -414,6 +457,25 @@ class TestCliContract:
         assert proc.wait(timeout=60) == 2
         assert err.startswith("benford-radix: error: ") and err.count("\n") == 1
         assert "Broken pipe" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pmf"],
+        ["sequence", "--kind", "fact", "-n", "100", "--tally"],
+        ["analyze", "{path}"],
+        ["analyze", "{path}", "--base", "7"],
+    ])
+    def test_decimal_is_never_imported(self, argv, tmp_path):
+        data = tmp_path / "small.txt"
+        data.write_text("1\n22\n0.333\n-4e2\n", encoding="utf-8")
+        argv = [a.format(path=data) for a in argv]
+        proc = cli_subprocess(argv, ["-X", "importtime"], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        modules = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+                   if line.startswith("import time:")}
+        assert "benford_radix.logdigits" in modules
+        assert not {"decimal", "_decimal", "_pydecimal"} & modules
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

@@ -19,8 +19,10 @@ from benford_radix.sequences import (
 )
 
 from oracles import (
+    atanh_scaled_by_mpmath,
     expansion_by_division,
     leading_digit_of_power_by_mpmath,
+    log_fixed_by_mpmath,
     powers_leading_digits_by_expansion,
 )
 
@@ -222,6 +224,32 @@ class TestCertifiedStreams:
             _same_digits(spec, base)
 
 
+class TestLogKernel:
+    @pytest.mark.parametrize("p", [1, 8, 128, 2048])
+    def test_atanh_within_one_unit(self, p):
+        for num, den in [(0, 1), (1, 2), (1, 3), (3, 11), (1, 40001), (10 ** 40, 3 * 10 ** 40 + 1)]:
+            got = logdigits._atanh(num, den, p)
+            assert abs(got - atanh_scaled_by_mpmath(num, den, p)) < 1, (num, den)
+
+    @pytest.mark.parametrize("bits", [128, 256, 2048])
+    def test_digit_boundaries_match_mpmath(self, bits):
+        for base in range(2, 65):
+            got = logdigits._digit_boundaries(base, bits)
+            assert got[-1] == 1 << bits
+            for d in range(1, base):
+                want = log_fixed_by_mpmath(d, base, bits)
+                assert abs(got[d - 1] - want) <= logdigits._FP_CONST_ERR, (base, d)
+
+    @pytest.mark.parametrize(
+        "a", [2, 3, 10 ** 40 + 7, 7 ** 10330 + 1], ids=["2", "3", "1e40+7", "29000-bit"]
+    )
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_log_fixed_point_matches_mpmath(self, a, bits):
+        for base in range(2, 65):
+            got = logdigits._log_fixed_point(a, base, bits)
+            assert abs(got - log_fixed_by_mpmath(a, base, bits)) <= logdigits._FP_CONST_ERR, base
+
+
 class TestResolver:
     @pytest.mark.parametrize("k", [10 ** 40, 10 ** 40 + 1, 3 * 10 ** 40 + 7, 2 ** 133 - 1])
     def test_huge_exponent_matches_mpmath(self, k):
@@ -246,4 +274,8 @@ class TestResolver:
         for m in (10, 57, 300):
             assert logdigits._resolve_factorial(m, 7) == leading_digit_int(
                 math.factorial(m), 7
+            )
+        for base in (7, 10, 64):
+            assert logdigits._resolve_factorial(5000, base) == leading_digit_int(
+                math.factorial(5000), base
             )

@@ -52,14 +52,11 @@ def _parse_bases(text: str) -> list[int]:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise ValueError(f"bad base range {text!r}: {lo} > {hi}")
-        bases = list(range(lo, hi + 1))
-    elif text.isdigit():
-        bases = [int(text)]
-    else:
-        raise ValueError(f"bad --bases value {text!r}: expected <lo>..<hi>")
-    for b in bases:
-        check_base(b)
-    return bases
+        # both ends first, so that a range past 64 is refused before it is built
+        return list(range(check_base(lo), check_base(hi) + 1))
+    if text.isdigit():
+        return [check_base(int(text))]
+    raise ValueError(f"bad --bases value {text!r}: expected <lo>..<hi>")
 
 
 def _histogram_payload(h: DigitHistogram) -> dict:
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table2", help="leading-1 frequency of a power sequence across bases"
     )
     p.add_argument("-n", type=int, required=True, help="number of sequence terms")
-    p.add_argument("--bases", default="2..12", help="<lo>..<hi> range of bases")
+    p.add_argument("--bases", default="2..12", help="<lo>..<hi> range of bases, within 2..64")
     p.add_argument("--seq-base", type=int, default=2, help="power sequence base a")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_table2)

@@ -4,21 +4,22 @@ The leading digit of a term x in base b is fixed by frac(log_b x): digit d
 owns [log_b d, log_b(d+1)). The streams here never build the terms. They
 carry that fractional part in 128-bit fixed point, with logarithms from one
 plain-int kernel, the atanh series `_atanh` (Brent and Zimmermann, Modern
-Computer Arithmetic, ch. 4), together with a running error bound:
+Computer Arithmetic, ch. 4), together with an error bound:
 
 - powers a**k: s = k*log_b(a) mod 1, one addition per term. When a and b
-  are powers of one integer the digit cycle is computed exactly instead;
+  are powers of one integer the digit cycle `_power_cycle` is exact instead;
 - Fibonacci F_m: m*log_b(phi) - log_b(sqrt 5) after an exact prefix;
 - factorials m!: a running sum of ln m, each carried from ln(m-1).
 
 A digit is emitted only when s lies farther from every digit boundary than
-the bound; that is what makes the stream certified. A term that fails the
-test is resolved: exactly while it has at most `_EXACT_BITS` bits,
-otherwise by recomputing its logarithm at twice the bits until it is
-certified (Ziv's strategy), up to `_MAX_LOG_BITS` bits, past which a
-ValueError is raised instead of building the term. `leading_digit_power`
-is that resolver for one power and `leading_digit_power_fast` its
-single-precision 128-bit probe.
+the bound of the stream's last term, one bound for the whole stream. A term
+that fails the test goes to its kind's resolver, `_resolve_power`,
+`_resolve_fibonacci` or `_resolve_factorial`, each a `_resolve`: exact up to
+`_EXACT_BITS` bits, else by its logarithm at twice the bits until certified
+(Ziv's strategy), up to `_MAX_LOG_BITS` bits, past which a ValueError is
+raised instead of building the term. Digits are plain ints; only the
+single-power API, `leading_digit_power_fast` and `leading_digit_power`,
+builds a `Digit`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle, islice
 from typing import Callable, Iterator
 
-from .digits import Digit, as_exact_int, check_base, leading_digit_int
+from .digits import Digit, _leading_digit, as_exact_int, check_base
 
 #: Fractional bits used for all fixed-point logarithms. 128 bits leave the
 #: propagated error (a few units times the exponent k) negligible against
@@ -52,29 +54,32 @@ _MAX_LOG_BITS = 1 << 11
 #: Fibonacci terms up to this index are resolved exactly; past it the
 #: dropped Binet correction is below one unit (see `_fibonacci_err`).
 _FIB_EXACT_PREFIX = 200
-#: Terms per error-bound step of `_log_stream`.
-_STREAM_BLOCK = 1 << 12
 
 
 def _exponent(n: int, g: int) -> int:
-    """u >= 1 with n = g**u, or 0 when n >= 2 is not a power of g."""
-    u = 0
-    while n % g == 0:
-        n //= g
-        u += 1
-    return u if n == 1 else 0
+    """u >= 1 with n = g**u, or 0 when n >= 2 is not a power of g >= 2: the
+    float estimate is off by far less than 1/2, and one exact power decides."""
+    u = round(math.log(n, g))
+    return u if g**u == n else 0
 
 
-def _common_root(a: int, base: int) -> tuple[int, int, int] | None:
-    """(g, u, v) with a = g**u and base = g**v when both are powers of one
-    integer, else None.
+@lru_cache(maxsize=None)
+def _least_root(base: int) -> tuple[int, int]:
+    """(g, v) with base = g**v for the least such g, which is no perfect power."""
+    return next((g, v) for g in range(2, base + 1) if (v := _exponent(base, g)))
 
-    g is the least root of the small base, so it is not itself a perfect
-    power, and a shares a root with base exactly when a is a power of g.
+
+def _power_cycle(a: int, base: int) -> list[int] | None:
+    """Leading digits of a**0 .. a**(v-1) in ``base``, which repeat with
+    period v, when a and base are powers of one integer; else None.
+
+    As g is the least root of base, a shares a root with base exactly when
+    a is a power of g. With a = g**u and base = g**v, a**k = base**q * g**r
+    for r = uk mod v, and g**r < base, so the digit of a**k is exactly g**r.
     """
-    g = next(g for g in range(2, base + 1) if _exponent(base, g))
+    g, v = _least_root(base)
     u = _exponent(a, g)
-    return (g, u, _exponent(base, g)) if u else None
+    return [g ** (u * k % v) for k in range(v)] if u else None
 
 
 def _atanh(num: int, den: int, p: int) -> int:
@@ -141,6 +146,18 @@ def _certified(s: int, err: int, bounds: tuple[int, ...]) -> int:
     return d if d == bisect_right(bounds, s + err) else 0
 
 
+def _certifier(base: int, err: int) -> tuple[list[int], list[int]]:
+    """(edges, digit_at) with digit_at[bisect_right(edges, s)] equal to
+    `_certified` at 128 bits: the edges t_d + err + 1, t_{d+1} - err of the
+    certified intervals alternate, and s certifies digit d exactly at odd
+    index 2d - 1. An err past a digit interval leaves no edges."""
+    bounds = _digit_boundaries(base, LOG_FRACTIONAL_BITS)
+    edges = [x for d in range(1, base) for x in (bounds[d - 1] + err + 1, bounds[d] - err)]
+    if edges != sorted(edges):
+        edges = []
+    return edges, [0] + [x for d in range(1, base) for x in (d, 0)]
+
+
 def _resolve(
     base: int,
     exact_bits: int,
@@ -157,7 +174,7 @@ def _resolve(
     is certified or _MAX_LOG_BITS is passed.
     """
     if exact_bits <= _EXACT_BITS:
-        return int(leading_digit_int(exact(), base))
+        return _leading_digit(exact(), 1, base)
     bits = 2 * LOG_FRACTIONAL_BITS
     while bits <= _MAX_LOG_BITS:
         s, err = log_at(bits)
@@ -181,41 +198,36 @@ def _log_stream(
     resolve: Callable[[int], int],
 ) -> Iterator[int]:
     """Digits of terms m = first..last-1 whose 128-bit log_base mod 1 is
-    s + (m - first) * step, within err + (m - first) * _FP_CONST_ERR units.
-
-    ``resolve(m)`` answers the terms that are not certified. Terms go in
-    blocks that share the bound of their last term, so one bisection per
-    term does the test: the edges t_d + e + 1, t_{d+1} - e of the certified
-    intervals alternate, and s certifies digit d exactly when it falls at
-    odd index 2d - 1.
+    s + (m - first) * step, each within err units: the last term's bound, so
+    one edge table from `_certifier` tests every term. ``resolve(m)``
+    answers the terms that are not certified.
     """
-    bounds = _digit_boundaries(base, LOG_FRACTIONAL_BITS)
-    digit_at = [0] + [x for d in range(1, base) for x in (d, 0)]
+    edges, digit_at = _certifier(base, err)
     mask = _FP_ONE - 1
-    for start in range(first, last, _STREAM_BLOCK):
-        stop = min(start + _STREAM_BLOCK, last)
-        e = err + (stop - 1 - first) * _FP_CONST_ERR
-        edges = [x for d in range(1, base) for x in (bounds[d - 1] + e + 1, bounds[d] - e)]
-        if edges != sorted(edges):
-            edges = []  # the bound outgrew a digit interval: resolve every term
-        for m in range(start, stop):
-            yield digit_at[bisect_right(edges, s)] or resolve(m)
-            s = (s + step) & mask
+    for m in range(first, last):
+        yield digit_at[bisect_right(edges, s)] or resolve(m)
+        s = (s + step) & mask
+
+
+def _resolve_power(a: int, k: int, b: int) -> int:
+    def log_at(bits):
+        s = k * _log_fixed_point(a, b, bits) % (1 << bits)
+        return s, k * _FP_CONST_ERR + _FP_CONST_ERR + 1
+
+    return _resolve(b, k * a.bit_length(), lambda: a ** k, log_at,
+                    f"a**k for a {a.bit_length()}-bit a and a {k.bit_length()}-bit k")
 
 
 def power_digits(a: int, n: int, b: int) -> Iterator[int]:
     """Leading digits of a**0 .. a**(n-1) in base b."""
-    common = _common_root(a, b)
-    if common:
-        # the exact cycle of leading_digit_power_fast, with period v
-        g, u, v = common
-        cycle = [g ** (u * k % v) for k in range(v)]
-        return (cycle[k % v] for k in range(n))
+    digits = _power_cycle(a, b)
+    if digits:
+        return islice(cycle(digits), n)
     # a**k: s_k = k * alpha exactly, and alpha and t_d are each off by at most
-    # _FP_CONST_ERR, so the bound k * _FP_CONST_ERR + _FP_CONST_ERR + 1 holds.
+    # _FP_CONST_ERR, so n * _FP_CONST_ERR + 1 bounds every term k < n.
     return _log_stream(
-        0, n, 0, _log_fixed_point(a, b), _FP_CONST_ERR + 1, b,
-        lambda k: int(leading_digit_power(a, k, b)),
+        0, n, 0, _log_fixed_point(a, b), n * _FP_CONST_ERR + 1, b,
+        lambda k: _resolve_power(a, k, b),
     )
 
 
@@ -278,10 +290,10 @@ def fibonacci_digits(n: int, b: int) -> Iterator[int]:
         m = prefix + 1
         step, offset = _fibonacci_logs(b, LOG_FRACTIONAL_BITS)
         s = (m * step - offset) % _FP_ONE
-        # past the prefix c_m is under one unit, so the bound grows by
-        # _FP_CONST_ERR per term as _log_stream assumes
+        # past the prefix c_m is under one unit, so the bound only grows
+        # with m, and that of the last term covers them all
         yield from _log_stream(
-            m, n + 1, s, step, _fibonacci_err(m, LOG_FRACTIONAL_BITS), b, resolve
+            m, n + 1, s, step, _fibonacci_err(n, LOG_FRACTIONAL_BITS), b, resolve
         )
 
 
@@ -313,10 +325,10 @@ def _resolve_factorial(m: int, b: int) -> int:
 
 def factorial_digits(n: int, b: int) -> Iterator[int]:
     """Leading digits of 1!, 2!, .., n! in base b."""
-    bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
     # one unit for s, _FP_CONST_ERR for the boundary, one to spare
+    edges, digit_at = _certifier(b, _FP_CONST_ERR + 2)
     for m, s in enumerate(_factorial_logs(n, b, LOG_FRACTIONAL_BITS), 1):
-        yield _certified(s, _FP_CONST_ERR + 2, bounds) or _resolve_factorial(m, b)
+        yield digit_at[bisect_right(edges, s)] or _resolve_factorial(m, b)
 
 
 @dataclass(frozen=True)
@@ -346,12 +358,9 @@ def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:
     if k == 0:
         return FastDigit(Digit(1, b), certain=True)
 
-    common = _common_root(a, b)
-    if common:
-        # a = g**u, base = g**v: a**k = base**q * g**r with r = uk mod v,
-        # and g**r < base, so the leading digit is exactly g**r.
-        g, u, v = common
-        return FastDigit(Digit(g ** (u * k % v), b), certain=True)
+    digits = _power_cycle(a, b)
+    if digits:
+        return FastDigit(Digit(digits[k % len(digits)], b), certain=True)
 
     alpha = _log_fixed_point(a, b)
     s = (k * alpha) % _FP_ONE
@@ -364,7 +373,7 @@ def leading_digit_power(a: int, k: int, base) -> Digit:
     """Certified leading digit of a**k, with bounded time and memory.
 
     The 128-bit probe `leading_digit_power_fast` answers almost every call.
-    An uncertain probe is resolved by `_resolve`: exactly when
+    An uncertain probe is resolved by `_resolve_power`: exactly when
     k * a.bit_length() <= _EXACT_BITS, otherwise by fixed-point logs at
     256, 512, .. bits until the digit is certified. The error bound stays
     k * _FP_CONST_ERR + _FP_CONST_ERR + 1 units while each doubling squares
@@ -398,13 +407,4 @@ def leading_digit_power(a: int, k: int, base) -> Digit:
         return fast.digit
     b = fast.digit.base
     a, k = as_exact_int(a, "sequence base"), as_exact_int(k, "exponent")
-
-    def log_at(bits):
-        s = k * _log_fixed_point(a, b, bits) % (1 << bits)
-        return s, k * _FP_CONST_ERR + _FP_CONST_ERR + 1
-
-    return Digit(
-        _resolve(b, k * a.bit_length(), lambda: a ** k, log_at,
-                 f"a**k for a {a.bit_length()}-bit a and a {k.bit_length()}-bit k"),
-        b,
-    )
+    return Digit(_resolve_power(a, k, b), b)

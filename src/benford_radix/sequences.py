@@ -84,18 +84,18 @@ def generate(spec: SequenceSpec) -> Iterator[int]:
 def iter_leading_digits(spec: SequenceSpec, base) -> Iterator[int]:
     """Certified leading digits of the spec's terms, as plain ints.
 
-    Powers, Fibonacci numbers and factorials come from the fixed-point log
-    streams of `logdigits`. Every digit equals the one
+    The base is checked when this is called, and the iterator returned is
+    the `logdigits` stream of the spec's kind itself: powers, Fibonacci
+    numbers or factorials. Every digit equals the one
     `iter_leading_digits_exact` gives.
     """
     b = check_base(base)
     n = spec.length
     if spec.kind == "powers":
-        yield from power_digits(spec.power_base, n, b)
-    elif spec.kind == "fibonacci":
-        yield from fibonacci_digits(n, b)
-    else:
-        yield from factorial_digits(n, b)
+        return power_digits(spec.power_base, n, b)
+    if spec.kind == "fibonacci":
+        return fibonacci_digits(n, b)
+    return factorial_digits(n, b)
 
 
 def iter_leading_digits_exact(spec: SequenceSpec, base) -> Iterator[int]:

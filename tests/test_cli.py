@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import test_documents
-from benford_radix import cli, digits, sequences
+from benford_radix import cli, digits, sequences, stats
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string, leading_digit_fraction
 from benford_radix.stats import tally
@@ -28,13 +29,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cli_subprocess(argv, python_flags=(), **popen_kwargs):
-    """Popen of the CLI in a fresh interpreter, with this checkout's src/ on the path."""
+def src_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def cli_subprocess(argv, python_flags=(), **popen_kwargs):
+    """Popen of the CLI in a fresh interpreter, with this checkout's src/ on the path."""
     command = [sys.executable, *python_flags, "-m", "benford_radix.cli", *argv]
-    return subprocess.Popen(command, env=env, **popen_kwargs)
+    return subprocess.Popen(command, env=src_env(), **popen_kwargs)
 
 
 class TestSequenceCommand:
@@ -134,6 +140,26 @@ class TestSequenceCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        "sequence --kind pow2 -n 3000 --tally",
+        "sequence --kind fib -n 300 --tally",
+        "sequence --kind fact -n 300 --tally",
+        "sequence --kind powa:3 --base 7 -n 300",
+        "table2 -n 300 --bases 2..64",
+    ])
+    def test_sequence_engine_builds_no_digit_objects(self, argv, capsys, monkeypatch):
+        def no_digit(cls, value, base):
+            raise RuntimeError("the sequence engine built a Digit")
+
+        monkeypatch.setattr(digits.Digit, "__new__", no_digit)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 0 and err == ""
+        monkeypatch.undo()
+        # the same document from the exact big-integer route
+        monkeypatch.setattr(cli, "iter_leading_digits", sequences.iter_leading_digits_exact)
+        monkeypatch.setattr(stats, "iter_leading_digits", sequences.iter_leading_digits_exact)
+        assert run_cli(capsys, *argv.split()) == (0, out, "")
+
 
 class TestPmfCommand:
     def test_base10_includes_reference_and_delta(self, capsys):
@@ -208,6 +234,16 @@ class TestTable2Command:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "table2", "-n", "5", "--bases", "9..7")
         assert code == 1
+
+    def test_wide_range_is_refused_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="between 2 and 64"):
+                cli._parse_bases("2..1000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAnalyzeCommand:
@@ -436,6 +472,19 @@ class TestRoundTrip:
         assert json.dumps(tally_doc["histogram"]) == json.dumps(
             analyze_doc["histogram"]
         )
+
+
+class TestScripts:
+    def test_pow2_convergence_runs(self):
+        script = Path(cli.__file__).parents[2] / "scripts" / "pow2_convergence.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--sizes", "100,1000"],
+            env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header.split()[:3] == ["N", "MAD", "max"]
+        assert [row.split()[0] for row in rows] == ["100", "1000"]
 
 
 class TestCliContract:

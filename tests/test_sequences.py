@@ -3,7 +3,7 @@ import time
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benford_radix import logdigits
@@ -93,8 +93,9 @@ class TestLeadingDigitSequence:
         assert powers_leading_digits_by_expansion(2, 3, 13) == POW2_FIRST13_BASE3
 
     def test_infinite_base_rejected(self):
+        # at call time, before any digit is asked for
         with pytest.raises(FiniteBaseRequired):
-            list(iter_leading_digits(SequenceSpec.powers(2, 3), INFINITE))
+            iter_leading_digits(SequenceSpec.powers(2, 3), INFINITE)
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 64])
     def test_matches_per_term_extraction(self, base):
@@ -111,6 +112,25 @@ class TestRationalLogCycles:
     def test_base8_three_cycle(self):
         digits = list(iter_leading_digits(SequenceSpec.powers(2, 1001), 8))
         assert digits == ([1, 2, 4] * 334)[:1001]
+
+    def test_huge_rooted_power_is_fast(self):
+        # 2**100000 = 8**33333 * 2: a**k has the digit 2**(k mod 3) in base 8
+        start = time.perf_counter()
+        fast = leading_digit_power_fast(2 ** 100000, 3, 2)
+        digits = list(logdigits.power_digits(2 ** 100000, 5, 8))
+        assert time.perf_counter() - start < 0.5  # about 1 ms
+        assert fast.certain and fast.digit == 1 and fast.digit.base == 2
+        assert digits == [1, 2, 4, 1, 2]
+
+    @pytest.mark.parametrize("g", [2, 3, 6, 10, 63])
+    @pytest.mark.parametrize("u", [1, 2, 7, 300, 5000])
+    def test_exponent_is_exact(self, g, u):
+        n = g ** u
+        assert logdigits._exponent(n, g) == u
+        assert logdigits._exponent(n + 1, g) == 0
+        assert logdigits._exponent(n * (g + 1), g) == 0
+        if n > 2:
+            assert logdigits._exponent(n - 1, g) == 0
 
 
 class TestFastPath:
@@ -193,19 +213,38 @@ BASES = st.integers(min_value=2, max_value=64)
 ROOTED = st.sampled_from([4, 6, 8, 9, 16, 25, 27, 32, 36, 49, 64, 81, 100, 125, 128, 144, 196])
 
 
+def _examples(cases):
+    """Add each dict of ``cases`` to a hypothesis test as an explicit example."""
+    def add(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return add
+
+
+# Lengths on both sides of 2**12 and past 2**13 terms.
+SEAM_POWERS = [
+    {"a": a, "n": n, "base": base}
+    for a in (2, 3, 7) for n in (4096, 4097, 8193) for base in (3, 10, 61)
+]
+
+
 class TestCertifiedStreams:
     @settings(max_examples=300, deadline=None)
     @given(a=st.one_of(st.integers(2, 200), ROOTED), n=st.integers(1, 600), base=BASES)
+    @_examples(SEAM_POWERS)
     def test_powers_match_exact(self, a, n, base):
         _same_digits(SequenceSpec.powers(a, n), base)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(150, 450), base=BASES)
+    @_examples([{"n": 200 + 4097, "base": 7}, {"n": 200 + 4097, "base": 10}])
     def test_fibonacci_across_the_exact_prefix(self, n, base):
         _same_digits(SequenceSpec.fibonacci(n), base)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 400), base=BASES)
+    @_examples([{"n": 4097, "base": 7}, {"n": 4097, "base": 10}])
     def test_factorials_match_exact(self, n, base):
         _same_digits(SequenceSpec.factorial(n), base)
 

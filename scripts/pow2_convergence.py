@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """How fast do powers of two settle onto the first-digit law?
 
-Tallies leading digits of 2^0 .. 2^(N-1) in a chosen base for a grid of
+Counts leading digits of 2^0 .. 2^(N-1) in a chosen base for a grid of
 sample sizes and reports MAD, max deviation, chi-square and verdict at each.
+Each histogram takes O(base * log N) steps, so N may run to 10^18 and more.
 """
 
 import argparse
 
 from benford_radix.model import benford_pmf
-from benford_radix.sequences import SequenceSpec, iter_leading_digits
-from benford_radix.stats import chi_square_fit, tally
+from benford_radix.sequences import SequenceSpec, leading_digit_counts
+from benford_radix.stats import DigitHistogram, chi_square_fit
 
 
 def main() -> None:
@@ -23,12 +24,12 @@ def main() -> None:
     sizes = sorted(int(s) for s in args.sizes.split(","))
 
     pmf = benford_pmf(args.base)
-    digits = list(iter_leading_digits(SequenceSpec.powers(2, sizes[-1]), args.base))
 
     print(f"{'N':>8}  {'MAD':>10}  {'max dev':>10}  {'chi2':>10}  "
           f"{'p-value':>9}  verdict")
     for n in sizes:
-        report = chi_square_fit(tally(digits[:n], args.base), pmf)
+        counts = leading_digit_counts(SequenceSpec.powers(2, n), args.base)
+        report = chi_square_fit(DigitHistogram(args.base, counts), pmf)
         print(f"{n:>8}  {report.mad:>10.6f}  {report.max_deviation:>10.6f}  "
               f"{report.statistic_chi2:>10.4f}  {report.p_value:>9.4f}  "
               f"{report.verdict}")

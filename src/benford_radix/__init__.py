@@ -32,6 +32,7 @@ from .sequences import (
     generate,
     iter_leading_digits,
     iter_leading_digits_exact,
+    leading_digit_counts,
     leading_digit_power,
     leading_digit_power_fast,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "generate",
     "iter_leading_digits",
     "iter_leading_digits_exact",
+    "leading_digit_counts",
     "leading_digit_power",
     "leading_digit_power_fast",
     "DEFAULT_MAD_THRESHOLDS",

@@ -17,7 +17,7 @@ from .ingest import DatasetSource, IngestStats, ingest
 from .model import benford_pmf
 from .reference import BENFORD_1938_FIRST_DIGIT
 from .report import ReportDocument, json_base, render_csv, render_json, render_text
-from .sequences import SequenceSpec, generate, iter_leading_digits
+from .sequences import SequenceSpec, generate, iter_leading_digits, leading_digit_counts
 from .stats import DigitHistogram, FitReport, chi_square_fit, leading_one_by_base, tally
 
 _BASES_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
@@ -114,7 +114,7 @@ def _cmd_sequence(args) -> ReportDocument | None:
                 sys.set_int_max_str_digits(limit)
         return None
     if args.tally:
-        hist = tally(iter_leading_digits(spec, base), base)
+        hist = DigitHistogram(base, leading_digit_counts(spec, base))
         return ReportDocument(
             mode="sequence", base=base, payload={"histogram": _histogram_payload(hist)}
         )

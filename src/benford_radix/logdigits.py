@@ -20,17 +20,26 @@ that fails the test goes to its kind's resolver, `_resolve_power`,
 raised instead of building the term. Digits are plain ints; only the
 single-power API, `leading_digit_power_fast` and `leading_digit_power`,
 builds a `Digit`.
+
+Histograms of powers and Fibonacci numbers, `power_counts` and
+`fibonacci_counts`, walk no terms past an exact prefix: the terms there are
+read at s + j*step mod 2**bits, so the count of those below a boundary is a
+difference of floor sums, `_floor_sum`, of O(log n) steps each (the
+equidistribution view of Diaconis 1977; Graham, Knuth and Patashnik,
+Concrete Mathematics, 3.5). The stream's bound certifies the counts when no
+term lies within it of a boundary; else they are recounted at twice the bits,
+and past _MAX_LOG_BITS the stream is tallied.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .digits import Digit, _leading_digit, as_exact_int, check_base
 
@@ -51,6 +60,10 @@ _FP_CONST_ERR = 2
 _EXACT_BITS = 1 << 20
 #: Precision ceiling of the resolver's escalation: 128, 256, ..., 2048 bits.
 _MAX_LOG_BITS = 1 << 11
+#: Powers a**k below this k are counted from the stream, which builds an
+#: uncertified one exactly: no precision certifies an exact boundary hit,
+#: and one needs k <= 35 (see `leading_digit_power`).
+_POWER_EXACT_PREFIX = 64
 #: Fibonacci terms up to this index are resolved exactly; past it the
 #: dropped Binet correction is below one unit (see `_fibonacci_err`).
 _FIB_EXACT_PREFIX = 200
@@ -209,6 +222,72 @@ def _log_stream(
         s = (s + step) & mask
 
 
+def _floor_sum(n: int, m: int, a: int, c: int) -> int:
+    """Sum of (a*k + c) // m over k = 0..n-1, for n, a, c >= 0 and m >= 1.
+
+    Once a, c < m, the sum counts the lattice points (k, j) with k < n and
+    1 <= j <= (a*k + c)/m. Row j holds the k >= (j*m - c)/a, so with
+    y = a*n + c it holds (y - j*m) // a of them, and i = y//m - j turns the
+    rows into the sum of (m*i + y % m) // a over i < y // m: the same sum
+    with a and m swapped, so the loop takes the steps of Euclid's algorithm.
+    """
+    total = 0
+    while n:
+        total += (a // m) * (n * (n - 1) // 2) + (c // m) * n
+        a, c = a % m, c % m
+        n, c = divmod(a * n + c, m)
+        m, a = a, m
+    return total
+
+
+def _arc_count(n: int, s: int, step: int, width: int, m: int) -> int:
+    """Number of j < n with (s + j*step) mod m < width, for 0 <= width <= m:
+    x mod m >= width exactly when (x + m - width) // m is x // m + 1."""
+    return n - _floor_sum(n, m, step, s + m - width) + _floor_sum(n, m, step, s)
+
+
+def _linear_counts(
+    n: int, s: int, step: int, err: int, bounds: tuple[int, ...], bits: int
+) -> list[int] | None:
+    """For terms j < n read at s + j*step mod 2**bits, the number in each
+    interval [t, u) of consecutive ``bounds``, or None if a term lies within
+    ``err`` of a bound mod 2**bits. As a term and a bound are within err
+    units of their true values together, a term outside every band
+    [t - err, t + err] lies in the interval its true logarithm does."""
+    m = 1 << bits
+    band = 2 * err + 1
+    if band >= m or any(
+        _arc_count(n, (s - t + err) % m, step, band, m) for t in {t % m for t in bounds}
+    ):
+        return None
+    return [_arc_count(n, (s - t) % m, step, u - t, m) for t, u in zip(bounds, bounds[1:])]
+
+
+def stream_counts(digits: Iterable[int], top: int) -> tuple[int, ...]:
+    """Counts of the digits 1..top in a stream of plain-int digits."""
+    seen = Counter(digits)
+    return tuple(seen[d] for d in range(1, top + 1))
+
+
+def _histogram(
+    top: int,
+    prefix: Iterable[int],
+    counts_at: Callable[[int], list[int] | None],
+    stream: Iterable[int],
+) -> tuple[int, ...]:
+    """Counts of the digits 1..top: those of the ``prefix`` digits plus
+    ``counts_at(bits)`` for the other terms, at the first of 128, 256, ..,
+    _MAX_LOG_BITS bits that certifies them (Ziv's strategy); if none does,
+    those of the whole ``stream``, which resolves its terms one by one."""
+    bits = LOG_FRACTIONAL_BITS
+    while bits <= _MAX_LOG_BITS:
+        rest = counts_at(bits)
+        if rest is not None:
+            return tuple(c + r for c, r in zip(stream_counts(prefix, top), rest))
+        bits *= 2
+    return stream_counts(stream, top)
+
+
 def _resolve_power(a: int, k: int, b: int) -> int:
     def log_at(bits):
         s = k * _log_fixed_point(a, b, bits) % (1 << bits)
@@ -229,6 +308,26 @@ def power_digits(a: int, n: int, b: int) -> Iterator[int]:
         0, n, 0, _log_fixed_point(a, b), n * _FP_CONST_ERR + 1, b,
         lambda k: _resolve_power(a, k, b),
     )
+
+
+def power_counts(a: int, n: int, b: int, top: int) -> tuple[int, ...]:
+    """Counts of the leading digits 1..top of a**0 .. a**(n-1) in base b:
+    over the exact digit cycle in closed form, else the first
+    _POWER_EXACT_PREFIX from the stream and the rest by floor sums."""
+    digits = _power_cycle(a, b)
+    if digits:
+        q, r = divmod(n, len(digits))
+        return tuple(q * digits.count(d) + digits[:r].count(d) for d in range(1, top + 1))
+    head = min(n, _POWER_EXACT_PREFIX)
+
+    def counts_at(bits):
+        alpha = _log_fixed_point(a, b, bits)
+        return _linear_counts(
+            n - head, head * alpha % (1 << bits), alpha, n * _FP_CONST_ERR + 1,
+            _digit_boundaries(b, bits)[:top + 1], bits,
+        )
+
+    return _histogram(top, power_digits(a, head, b), counts_at, power_digits(a, n, b))
 
 
 def _fibonacci(m: int) -> int:
@@ -295,6 +394,24 @@ def fibonacci_digits(n: int, b: int) -> Iterator[int]:
         yield from _log_stream(
             m, n + 1, s, step, _fibonacci_err(n, LOG_FRACTIONAL_BITS), b, resolve
         )
+
+
+def fibonacci_counts(n: int, b: int, top: int) -> tuple[int, ...]:
+    """Counts of the leading digits 1..top of F_1 .. F_n in base b: the
+    exact prefix from the stream and the rest by floor sums."""
+    head = min(n, _FIB_EXACT_PREFIX)
+
+    def counts_at(bits):
+        step, offset = _fibonacci_logs(b, bits)
+        # the Binet part of the bound falls with m and the rest grows, so the
+        # bounds of the first and the last term add up to one for every term
+        err = _fibonacci_err(head + 1, bits) + _fibonacci_err(n, bits)
+        return _linear_counts(
+            n - head, ((head + 1) * step - offset) % (1 << bits), step, err,
+            _digit_boundaries(b, bits)[:top + 1], bits,
+        )
+
+    return _histogram(top, fibonacci_digits(head, b), counts_at, fibonacci_digits(n, b))
 
 
 def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:

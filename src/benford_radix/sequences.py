@@ -5,6 +5,8 @@ the certified fixed-point log streams of `logdigits`, which never build the
 terms: a digit is emitted only when the term's fractional logarithm is
 farther from every digit boundary than its running error bound, and the
 rare term that is not is resolved exactly or at doubled precision.
+`leading_digit_counts` gives the histogram of powers and Fibonacci numbers
+in O(base * log n) steps, without walking the terms past an exact prefix.
 
 `iter_leading_digits_exact` walks the big-integer terms of `generate`. It
 is the independent reference the streams are tested against. Every kind
@@ -22,10 +24,13 @@ from .logdigits import (  # the single-power API is re-exported from here
     LOG_FRACTIONAL_BITS,
     FastDigit,
     factorial_digits,
+    fibonacci_counts,
     fibonacci_digits,
     leading_digit_power,
     leading_digit_power_fast,
+    power_counts,
     power_digits,
+    stream_counts,
 )
 
 
@@ -96,6 +101,26 @@ def iter_leading_digits(spec: SequenceSpec, base) -> Iterator[int]:
     if spec.kind == "fibonacci":
         return fibonacci_digits(n, b)
     return factorial_digits(n, b)
+
+
+def leading_digit_counts(spec: SequenceSpec, base, top: int | None = None) -> tuple[int, ...]:
+    """Counts of the leading digits 1..top (by default 1..base-1) of the
+    spec's terms, as a tally of `iter_leading_digits_exact` would give.
+
+    Powers and Fibonacci numbers are counted by `logdigits.power_counts` and
+    `logdigits.fibonacci_counts` in O(base * log n) steps, with the stream's
+    error bound as certificate; factorials are counted from their stream.
+    """
+    b = check_base(base)
+    top = b - 1 if top is None else top
+    if not 1 <= top < b:
+        raise ValueError(f"top digit must be in 1..{b - 1}, got {top}")
+    n = spec.length
+    if spec.kind == "powers":
+        return power_counts(spec.power_base, n, b, top)
+    if spec.kind == "fibonacci":
+        return fibonacci_counts(n, b, top)
+    return stream_counts(iter_leading_digits(spec, b), top)
 
 
 def iter_leading_digits_exact(spec: SequenceSpec, base) -> Iterator[int]:

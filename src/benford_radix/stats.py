@@ -19,7 +19,7 @@ from .reference import (
     POW2_LEADING_ONE_REFERENCE,
     POW2_LEADING_ONE_REFERENCE_INFINITE,
 )
-from .sequences import SequenceSpec, iter_leading_digits
+from .sequences import SequenceSpec, leading_digit_counts
 
 
 class RadixMismatch(ValueError):
@@ -244,18 +244,20 @@ def leading_one_by_base(
     """Frequency of leading digit 1 for the first N powers of ``sequence_base``,
     one row per requested base, plus the infinite-system row.
 
-    The empirical column is an exact tally; the asymptotic column is the
-    equidistribution limit log_base(2); the reference column carries the
-    bundled two-decimal values where available (sequence base 2 only).
+    The empirical column is an exact count of the powers with leading digit
+    1, from `leading_digit_counts` in O(log N) steps per base; the
+    asymptotic column is the equidistribution limit log_base(2); the
+    reference column carries the bundled two-decimal values where available
+    (sequence base 2 only).
     """
     n = as_exact_int(sample_size, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {sample_size}")
+    spec = SequenceSpec.powers(sequence_base, n)
     has_reference = sequence_base == 2
     rows = []
     for b in sorted({check_base(base) for base in bases}):
-        spec = SequenceSpec.powers(sequence_base, n)
-        ones = sum(1 for d in iter_leading_digits(spec, b) if d == 1)
+        (ones,) = leading_digit_counts(spec, b, top=1)
         rows.append(
             LeadingOneRow(
                 base=b,

@@ -43,6 +43,11 @@ def cli_subprocess(argv, python_flags=(), **popen_kwargs):
     return subprocess.Popen(command, env=src_env(), **popen_kwargs)
 
 
+def exact_counts(spec, base, top=None):
+    """`sequences.leading_digit_counts` by a tally of the big-integer walk."""
+    return tally(sequences.iter_leading_digits_exact(spec, base), base).counts[:top]
+
+
 class TestSequenceCommand:
     def test_doubling_sequence(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "pow2", "--base", "10", "-n", "13")
@@ -57,7 +62,7 @@ class TestSequenceCommand:
     @pytest.mark.parametrize("kind", ["pow2", "powa:3", "fib", "fact"])
     def test_tally_needs_no_big_integer_terms(self, kind, capsys, monkeypatch):
         argv = ["sequence", "--kind", kind, "--base", "10", "-n", "3000", "--tally"]
-        monkeypatch.setattr(cli, "iter_leading_digits", sequences.iter_leading_digits_exact)
+        monkeypatch.setattr(cli, "leading_digit_counts", exact_counts)
         assert main(argv) == 0
         exact_doc = capsys.readouterr().out
         monkeypatch.undo()
@@ -69,6 +74,24 @@ class TestSequenceCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == exact_doc
+
+    @pytest.mark.parametrize("argv, n", [
+        ("sequence --kind pow2 -n 1000000000000000 --tally --json", 10 ** 15),
+        ("table2 -n 1000000000000 --bases 2..64 --json", 10 ** 12),
+    ])
+    def test_huge_n_histogram_is_fast(self, argv, n):
+        # floor sums count the terms in O(log n) steps; a walk would take days
+        start = time.perf_counter()
+        proc = cli_subprocess(argv.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, err
+        doc = json.loads(out)
+        if "histogram" in doc:
+            assert doc["histogram"]["total"] == n
+        else:
+            assert [r["n"] for r in doc["rows"]] == [n] * 64
+        assert elapsed < 2.0
 
     def test_digits_above_nine_use_brackets(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "powa:12", "--base", "16", "-n", "2")
@@ -157,7 +180,8 @@ class TestSequenceCommand:
         monkeypatch.undo()
         # the same document from the exact big-integer route
         monkeypatch.setattr(cli, "iter_leading_digits", sequences.iter_leading_digits_exact)
-        monkeypatch.setattr(stats, "iter_leading_digits", sequences.iter_leading_digits_exact)
+        monkeypatch.setattr(cli, "leading_digit_counts", exact_counts)
+        monkeypatch.setattr(stats, "leading_digit_counts", exact_counts)
         assert run_cli(capsys, *argv.split()) == (0, out, "")
 
 
@@ -234,6 +258,12 @@ class TestTable2Command:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "table2", "-n", "5", "--bases", "9..7")
         assert code == 1
+
+    @pytest.mark.parametrize("seq_base", ["1", "0"])
+    def test_bad_seq_base(self, seq_base, capsys):
+        code, out, err = run_cli(capsys, "table2", "-n", "5", "--seq-base", seq_base)
+        assert code == 1 and out == ""
+        assert "powers sequence needs an integer base >= 2" in err
 
     def test_wide_range_is_refused_before_it_is_built(self):
         tracemalloc.start()

@@ -14,9 +14,11 @@ from benford_radix.sequences import (
     generate,
     iter_leading_digits,
     iter_leading_digits_exact,
+    leading_digit_counts,
     leading_digit_power,
     leading_digit_power_fast,
 )
+from benford_radix.stats import tally
 
 from oracles import (
     atanh_scaled_by_mpmath,
@@ -204,8 +206,14 @@ class TestFastPath:
 
 def _same_digits(spec, base):
     got = list(iter_leading_digits(spec, base))
-    assert got == list(iter_leading_digits_exact(spec, base))
+    exact = list(iter_leading_digits_exact(spec, base))
+    assert got == exact
     assert all(type(d) is int for d in got)
+    assert leading_digit_counts(spec, base) == tally(exact, base).counts
+
+
+def _exact_counts(spec, base):
+    return tally(iter_leading_digits_exact(spec, base), base).counts
 
 
 BASES = st.integers(min_value=2, max_value=64)
@@ -261,6 +269,87 @@ class TestCertifiedStreams:
             SequenceSpec.factorial(300),
         ):
             _same_digits(spec, base)
+
+
+class TestHistogramCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.one_of(st.integers(2, 200), ROOTED),
+        n=st.one_of(st.integers(1, 64), st.integers(65, 3000)),
+        base=BASES,
+    )
+    @_examples([{"a": 2, "n": 3000, "base": 16}, {"a": 9, "n": 3000, "base": 27},
+                {"a": 27, "n": 65, "base": 9}, {"a": 2, "n": 3000, "base": 10}])
+    def test_powers_match_exact(self, a, n, base):
+        spec = SequenceSpec.powers(a, n)
+        want = _exact_counts(spec, base)
+        assert leading_digit_counts(spec, base) == want
+        assert leading_digit_counts(spec, base, top=1) == want[:1]
+
+    @pytest.mark.parametrize("n", [199, 200, 201, 202])
+    def test_fibonacci_around_the_exact_prefix(self, n):
+        spec = SequenceSpec.fibonacci(n)
+        for base in range(2, 65):
+            assert leading_digit_counts(spec, base) == _exact_counts(spec, base), base
+
+    @pytest.mark.parametrize(
+        "spec, base",
+        [(SequenceSpec.powers(2, 10 ** 6), 10), (SequenceSpec.powers(3, 10 ** 6), 7),
+         (SequenceSpec.fibonacci(10 ** 6), 10)],
+        ids=["pow2-10", "pow3-7", "fib-10"],
+    )
+    def test_million_terms_match_the_stream(self, spec, base):
+        want = tally(iter_leading_digits(spec, base), base).counts
+        assert leading_digit_counts(spec, base) == want
+
+    def test_top_is_a_digit(self):
+        spec = SequenceSpec.powers(2, 10)
+        for top in (0, 10):
+            with pytest.raises(ValueError, match="top digit"):
+                leading_digit_counts(spec, 10, top)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 60), m=st.integers(1, 100), a=st.integers(0, 300),
+           c=st.integers(0, 300))
+    def test_floor_sum_matches_the_sum(self, n, m, a, c):
+        assert logdigits._floor_sum(n, m, a, c) == sum((a * k + c) // m for k in range(n))
+
+
+def _spy_on_counts(monkeypatch):
+    """Record (bits, certified) for each floor-sum count `logdigits` attempts."""
+    calls, linear_counts = [], logdigits._linear_counts
+
+    def spy(*args):
+        counts = linear_counts(*args)
+        calls.append((args[-1], counts is not None))
+        return counts
+
+    monkeypatch.setattr(logdigits, "_linear_counts", spy)
+    return calls
+
+
+BAND_SPECS = pytest.mark.parametrize(
+    "spec", [SequenceSpec.powers(3, 1000), SequenceSpec.fibonacci(1000)], ids=["pow3", "fib"]
+)
+
+
+class TestCountCertificate:
+    @BAND_SPECS
+    def test_band_hit_escalates(self, spec, monkeypatch):
+        # a bound of about 2**120 units makes each band 1/128 of the circle at
+        # 128 bits, which some of the ~900 counted terms fall in; at 256 bits
+        # the bands are 2**-128 times as wide
+        calls = _spy_on_counts(monkeypatch)
+        monkeypatch.setattr(logdigits, "_FP_CONST_ERR", 1 << 110)
+        assert leading_digit_counts(spec, 10) == _exact_counts(spec, 10)
+        assert calls == [(128, False), (256, True)]
+
+    @BAND_SPECS
+    def test_band_hit_at_every_precision_tallies_the_stream(self, spec, monkeypatch):
+        calls = _spy_on_counts(monkeypatch)
+        monkeypatch.setattr(logdigits, "_FP_CONST_ERR", 1 << logdigits._MAX_LOG_BITS)
+        assert leading_digit_counts(spec, 10) == _exact_counts(spec, 10)
+        assert calls == [(bits, False) for bits in (128, 256, 512, 1024, 2048)]
 
 
 class TestLogKernel:

@@ -296,6 +296,11 @@ class TestLeadingOneByBase:
         with pytest.raises(ValueError):
             leading_one_by_base([10], 0)
 
+    @pytest.mark.parametrize("sequence_base", [1, 0])
+    def test_rejects_bad_sequence_base(self, sequence_base):
+        with pytest.raises(ValueError, match="integer base >= 2"):
+            leading_one_by_base([10], 5, sequence_base=sequence_base)
+
     @pytest.mark.parametrize("sequence_base", [2, 3, 10])
     def test_empirical_column_is_the_exact_count(self, sequence_base):
         n = 1500

@@ -270,18 +270,21 @@ def stream_counts(digits: Iterable[int], top: int) -> tuple[int, ...]:
 
 
 def _histogram(
+    b: int,
     top: int,
     prefix: Iterable[int],
-    counts_at: Callable[[int], list[int] | None],
+    n: int,
+    line_at: Callable[[int], tuple[int, int, int]],
     stream: Iterable[int],
 ) -> tuple[int, ...]:
-    """Counts of the digits 1..top: those of the ``prefix`` digits plus
-    ``counts_at(bits)`` for the other terms, at the first of 128, 256, ..,
-    _MAX_LOG_BITS bits that certifies them (Ziv's strategy); if none does,
-    those of the whole ``stream``, which resolves its terms one by one."""
+    """Counts of the digits 1..top in base b: those of the ``prefix`` digits
+    plus those of n more terms, term j read at s + j*step mod 2**bits within
+    err units for (s, step, err) = line_at(bits), at the first of 128, 256,
+    .., _MAX_LOG_BITS bits that certifies them (Ziv's strategy); if none
+    does, those of the whole ``stream``, which resolves its terms one by one."""
     bits = LOG_FRACTIONAL_BITS
     while bits <= _MAX_LOG_BITS:
-        rest = counts_at(bits)
+        rest = _linear_counts(n, *line_at(bits), _digit_boundaries(b, bits)[:top + 1], bits)
         if rest is not None:
             return tuple(c + r for c, r in zip(stream_counts(prefix, top), rest))
         bits *= 2
@@ -320,14 +323,11 @@ def power_counts(a: int, n: int, b: int, top: int) -> tuple[int, ...]:
         return tuple(q * digits.count(d) + digits[:r].count(d) for d in range(1, top + 1))
     head = min(n, _POWER_EXACT_PREFIX)
 
-    def counts_at(bits):
+    def line_at(bits):
         alpha = _log_fixed_point(a, b, bits)
-        return _linear_counts(
-            n - head, head * alpha % (1 << bits), alpha, n * _FP_CONST_ERR + 1,
-            _digit_boundaries(b, bits)[:top + 1], bits,
-        )
+        return head * alpha % (1 << bits), alpha, n * _FP_CONST_ERR + 1
 
-    return _histogram(top, power_digits(a, head, b), counts_at, power_digits(a, n, b))
+    return _histogram(b, top, power_digits(a, head, b), n - head, line_at, power_digits(a, n, b))
 
 
 def _fibonacci(m: int) -> int:
@@ -401,17 +401,14 @@ def fibonacci_counts(n: int, b: int, top: int) -> tuple[int, ...]:
     exact prefix from the stream and the rest by floor sums."""
     head = min(n, _FIB_EXACT_PREFIX)
 
-    def counts_at(bits):
+    def line_at(bits):
         step, offset = _fibonacci_logs(b, bits)
         # the Binet part of the bound falls with m and the rest grows, so the
         # bounds of the first and the last term add up to one for every term
         err = _fibonacci_err(head + 1, bits) + _fibonacci_err(n, bits)
-        return _linear_counts(
-            n - head, ((head + 1) * step - offset) % (1 << bits), step, err,
-            _digit_boundaries(b, bits)[:top + 1], bits,
-        )
+        return ((head + 1) * step - offset) % (1 << bits), step, err
 
-    return _histogram(top, fibonacci_digits(head, b), counts_at, fibonacci_digits(n, b))
+    return _histogram(b, top, fibonacci_digits(head, b), n - head, line_at, fibonacci_digits(n, b))
 
 
 def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:

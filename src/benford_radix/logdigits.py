@@ -4,31 +4,33 @@ The leading digit of a term x in base b is fixed by frac(log_b x): digit d
 owns [log_b d, log_b(d+1)). The streams here never build the terms. They
 carry that fractional part in 128-bit fixed point, with logarithms from one
 plain-int kernel, the atanh series `_atanh` (Brent and Zimmermann, Modern
-Computer Arithmetic, ch. 4), together with an error bound:
+Computer Arithmetic, ch. 4), together with an error bound. Powers and
+Fibonacci numbers lie on a line (the equidistribution view of Diaconis
+1977), given by one function per kind, at(bits, lo, hi) -> (s, step, err):
+term j of lo..hi-1 is read at s + (j - lo)*step mod 2**bits within err units.
 
-- powers a**k: s = k*log_b(a) mod 1, one addition per term. When a and b
-  are powers of one integer the digit cycle `_power_cycle` is exact instead;
-- Fibonacci F_m: m*log_b(phi) - log_b(sqrt 5) after an exact prefix;
+- powers a**k, `_power_line`: k*log_b(a). When a and b are powers of one
+  integer the digit cycle `_power_cycle` is exact instead;
+- Fibonacci F_m, `_fibonacci_line`: m*log_b(phi) - log_b(sqrt 5) after an
+  exact prefix;
 - factorials m!: a running sum of ln m, each carried from ln(m-1).
 
 A digit is emitted only when s lies farther from every digit boundary than
 the bound of the stream's last term, one bound for the whole stream. A term
 that fails the test goes to its kind's resolver, `_resolve_power`,
 `_resolve_fibonacci` or `_resolve_factorial`, each a `_resolve`: exact up to
-`_EXACT_BITS` bits, else by its logarithm at twice the bits until certified
-(Ziv's strategy), up to `_MAX_LOG_BITS` bits, past which a ValueError is
-raised instead of building the term. Digits are plain ints; only the
+`_EXACT_BITS` bits, else read at at(bits, j, j + 1) from 256 bits on.
+Histograms of powers and Fibonacci numbers, `power_counts` and
+`fibonacci_counts`, walk no terms past an exact prefix: the count of line
+terms below a boundary is a difference of floor sums, `_floor_sum`, of
+O(log n) steps each (Graham, Knuth and Patashnik, Concrete Mathematics,
+3.5), certified when no term lies within the bound of a boundary.
+
+Both double the bits until certified (Ziv's strategy) in one `_escalate`,
+which stops at 2048 bits below index 2**512 and raises a ValueError instead
+of building a term or walking n terms. Digits are plain ints; only the
 single-power API, `leading_digit_power_fast` and `leading_digit_power`,
 builds a `Digit`.
-
-Histograms of powers and Fibonacci numbers, `power_counts` and
-`fibonacci_counts`, walk no terms past an exact prefix: the terms there are
-read at s + j*step mod 2**bits, so the count of those below a boundary is a
-difference of floor sums, `_floor_sum`, of O(log n) steps each (the
-equidistribution view of Diaconis 1977; Graham, Knuth and Patashnik,
-Concrete Mathematics, 3.5). The stream's bound certifies the counts when no
-term lies within it of a boundary; else they are recounted at twice the bits,
-and past _MAX_LOG_BITS the stream is tallied.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .digits import Digit, _leading_digit, as_exact_int, check_base
 
@@ -58,15 +60,24 @@ _FP_CONST_ERR = 2
 #: Largest term, in bits, that the resolver builds exactly (0.3 s to read
 #: the leading digit of a 2**20-bit integer on a 2-vCPU Xeon VM).
 _EXACT_BITS = 1 << 20
-#: Precision ceiling of the resolver's escalation: 128, 256, ..., 2048 bits.
+#: Precision ceiling of `_escalate` below index 2**512: it stops at the first
+#: of 128 (256 for one term), 256, .. bits of at least 2 * L + _MAX_LOG_BITS/2
+#: for an L-bit last index, so 2048 bits up to there and more past it.
 _MAX_LOG_BITS = 1 << 11
 #: Powers a**k below this k are counted from the stream, which builds an
 #: uncertified one exactly: no precision certifies an exact boundary hit,
 #: and one needs k <= 35 (see `leading_digit_power`).
 _POWER_EXACT_PREFIX = 64
-#: Fibonacci terms up to this index are resolved exactly; past it the
-#: dropped Binet correction is below one unit (see `_fibonacci_err`).
+#: Fibonacci terms up to this index are resolved exactly. Past it the Binet
+#: part of the bound (see `_fibonacci_line`), 2**(bits - 276) units at F_201,
+#: is below one unit only up to 256 bits.
 _FIB_EXACT_PREFIX = 200
+
+_T = TypeVar("_T")
+#: at(bits, lo, hi) -> (s, step, err): terms lo..hi-1 of a kind, term j read
+#: at s + (j - lo) * step mod 2**bits within err units (`_power_line`,
+#: `_fibonacci_line`).
+_Line = Callable[[int, int, int], tuple[int, int, int]]
 
 
 def _exponent(n: int, g: int) -> int:
@@ -171,54 +182,53 @@ def _certifier(base: int, err: int) -> tuple[list[int], list[int]]:
     return edges, [0] + [x for d in range(1, base) for x in (d, 0)]
 
 
+def _escalate(bits: int, last: int, certify: Callable[[int], _T], what: str) -> _T:
+    """certify(bits) at ``bits``, then at twice the bits until it is truthy
+    (Ziv's strategy), up to the first precision of at least
+    2 * last.bit_length() + _MAX_LOG_BITS // 2 for the ``last`` index read,
+    past which a ValueError is raised. A term's bound grows like its index
+    n and a histogram holds n terms, so band hits fall like n**2 * 2**-bits.
+    """
+    while not (got := certify(bits)):
+        if bits >= 2 * last.bit_length() + _MAX_LOG_BITS // 2:
+            raise ValueError(f"{what} is not certified at {bits} bits")
+        bits *= 2
+    return got
+
+
 def _resolve(
-    base: int,
-    exact_bits: int,
-    exact: Callable[[], int],
-    log_at: Callable[[int], tuple[int, int]],
-    what: str,
+    base: int, j: int, exact_bits: int, exact: Callable[[], int], at: _Line, what: str
 ) -> int:
-    """Leading digit of a term whose 128-bit certificate failed.
+    """Leading digit of term j, whose 128-bit certificate failed.
 
     ``exact()`` builds the term and is called only when ``exact_bits``, an
-    upper bound on its size, is at most _EXACT_BITS. Otherwise
-    ``log_at(bits)`` returns the term's fixed-point log_base mod 1 at
-    ``bits`` and its error bound, and the precision doubles until the digit
-    is certified or _MAX_LOG_BITS is passed.
+    upper bound on its size, is at most _EXACT_BITS. Otherwise the term is
+    read at at(bits, j, j + 1) from 256 bits on by `_escalate`.
     """
     if exact_bits <= _EXACT_BITS:
         return _leading_digit(exact(), 1, base)
-    bits = 2 * LOG_FRACTIONAL_BITS
-    while bits <= _MAX_LOG_BITS:
-        s, err = log_at(bits)
-        d = _certified(s, err, _digit_boundaries(base, bits))
-        if d:
-            return d
-        bits *= 2
-    raise ValueError(
-        f"leading digit of {what} in base {base} is not certified at "
-        f"{_MAX_LOG_BITS} bits and the term is too large to build exactly"
-    )
+
+    def certify(bits):
+        s, _, err = at(bits, j, j + 1)
+        return _certified(s, err, _digit_boundaries(base, bits))
+
+    return _escalate(2 * LOG_FRACTIONAL_BITS, j, certify,
+                     f"leading digit of {what} in base {base}")
 
 
-def _log_stream(
-    first: int,
-    last: int,
-    s: int,
-    step: int,
-    err: int,
-    base: int,
-    resolve: Callable[[int], int],
+def _line_digits(
+    at: _Line, lo: int, hi: int, base: int, resolve: Callable[[int], int]
 ) -> Iterator[int]:
-    """Digits of terms m = first..last-1 whose 128-bit log_base mod 1 is
-    s + (m - first) * step, each within err units: the last term's bound, so
-    one edge table from `_certifier` tests every term. ``resolve(m)``
-    answers the terms that are not certified.
+    """Digits of terms j = lo..hi-1 read at s + (j - lo) * step within err
+    units for (s, step, err) = at(128, lo, hi): one bound for every term, so
+    one edge table from `_certifier` tests them all. ``resolve(j)`` answers
+    the terms that are not certified.
     """
+    s, step, err = at(LOG_FRACTIONAL_BITS, lo, hi)
     edges, digit_at = _certifier(base, err)
     mask = _FP_ONE - 1
-    for m in range(first, last):
-        yield digit_at[bisect_right(edges, s)] or resolve(m)
+    for j in range(lo, hi):
+        yield digit_at[bisect_right(edges, s)] or resolve(j)
         s = (s + step) & mask
 
 
@@ -256,7 +266,7 @@ def _linear_counts(
     [t - err, t + err] lies in the interval its true logarithm does."""
     m = 1 << bits
     band = 2 * err + 1
-    if band >= m or any(
+    if (n and band >= m) or any(
         _arc_count(n, (s - t + err) % m, step, band, m) for t in {t % m for t in bounds}
     ):
         return None
@@ -269,34 +279,35 @@ def stream_counts(digits: Iterable[int], top: int) -> tuple[int, ...]:
     return tuple(seen[d] for d in range(1, top + 1))
 
 
-def _histogram(
-    b: int,
-    top: int,
-    prefix: Iterable[int],
-    n: int,
-    line_at: Callable[[int], tuple[int, int, int]],
-    stream: Iterable[int],
+def _line_counts(
+    at: _Line, prefix: Iterable[int], lo: int, hi: int, base: int, top: int, what: str
 ) -> tuple[int, ...]:
-    """Counts of the digits 1..top in base b: those of the ``prefix`` digits
-    plus those of n more terms, term j read at s + j*step mod 2**bits within
-    err units for (s, step, err) = line_at(bits), at the first of 128, 256,
-    .., _MAX_LOG_BITS bits that certifies them (Ziv's strategy); if none
-    does, those of the whole ``stream``, which resolves its terms one by one."""
-    bits = LOG_FRACTIONAL_BITS
-    while bits <= _MAX_LOG_BITS:
-        rest = _linear_counts(n, *line_at(bits), _digit_boundaries(b, bits)[:top + 1], bits)
-        if rest is not None:
-            return tuple(c + r for c, r in zip(stream_counts(prefix, top), rest))
-        bits *= 2
-    return stream_counts(stream, top)
+    """Counts of the digits 1..top in ``base``: those of the ``prefix``
+    digits plus those of the terms lo..hi-1 on the line ``at``, counted by
+    `_linear_counts` at the first precision from 128 bits on that
+    certifies them (`_escalate`)."""
+    def count(bits):
+        bounds = _digit_boundaries(base, bits)[:top + 1]
+        return _linear_counts(hi - lo, *at(bits, lo, hi), bounds, bits)
+
+    rest = _escalate(LOG_FRACTIONAL_BITS, hi - 1, count,
+                     f"leading digit histogram of {what} in base {base}")
+    return tuple(c + r for c, r in zip(stream_counts(prefix, top), rest))
+
+
+def _power_line(a: int, b: int) -> _Line:
+    """Line of a**lo .. a**(hi-1) in base b: s_k = k * alpha exactly, and
+    alpha and t_d are each off by at most _FP_CONST_ERR, so
+    hi * _FP_CONST_ERR + 1 bounds every term k < hi."""
+    def at(bits, lo, hi):
+        alpha = _log_fixed_point(a, b, bits)
+        return lo * alpha % (1 << bits), alpha, hi * _FP_CONST_ERR + 1
+
+    return at
 
 
 def _resolve_power(a: int, k: int, b: int) -> int:
-    def log_at(bits):
-        s = k * _log_fixed_point(a, b, bits) % (1 << bits)
-        return s, k * _FP_CONST_ERR + _FP_CONST_ERR + 1
-
-    return _resolve(b, k * a.bit_length(), lambda: a ** k, log_at,
+    return _resolve(b, k, k * a.bit_length(), lambda: a ** k, _power_line(a, b),
                     f"a**k for a {a.bit_length()}-bit a and a {k.bit_length()}-bit k")
 
 
@@ -305,12 +316,7 @@ def power_digits(a: int, n: int, b: int) -> Iterator[int]:
     digits = _power_cycle(a, b)
     if digits:
         return islice(cycle(digits), n)
-    # a**k: s_k = k * alpha exactly, and alpha and t_d are each off by at most
-    # _FP_CONST_ERR, so n * _FP_CONST_ERR + 1 bounds every term k < n.
-    return _log_stream(
-        0, n, 0, _log_fixed_point(a, b), n * _FP_CONST_ERR + 1, b,
-        lambda k: _resolve_power(a, k, b),
-    )
+    return _line_digits(_power_line(a, b), 0, n, b, lambda k: _resolve_power(a, k, b))
 
 
 def power_counts(a: int, n: int, b: int, top: int) -> tuple[int, ...]:
@@ -322,12 +328,10 @@ def power_counts(a: int, n: int, b: int, top: int) -> tuple[int, ...]:
         q, r = divmod(n, len(digits))
         return tuple(q * digits.count(d) + digits[:r].count(d) for d in range(1, top + 1))
     head = min(n, _POWER_EXACT_PREFIX)
-
-    def line_at(bits):
-        alpha = _log_fixed_point(a, b, bits)
-        return head * alpha % (1 << bits), alpha, n * _FP_CONST_ERR + 1
-
-    return _histogram(b, top, power_digits(a, head, b), n - head, line_at, power_digits(a, n, b))
+    return _line_counts(
+        _power_line(a, b), power_digits(a, head, b), head, n, b, top,
+        f"a**0 .. a**(n-1) for a {a.bit_length()}-bit a and a {n.bit_length()}-bit n",
+    )
 
 
 def _fibonacci(m: int) -> int:
@@ -352,8 +356,8 @@ def _fibonacci_logs(base: int, bits: int) -> tuple[int, int]:
     return _ratio(ln_phi, ln_base, bits), _ratio(_ln_fixed(5, w), 2 * ln_base, bits)
 
 
-def _fibonacci_err(m: int, bits: int) -> int:
-    """Error bound, in units of 2**-bits, of m*step - offset as log_base F_m.
+def _fibonacci_line(b: int) -> _Line:
+    """Line of F_lo .. F_(hi-1) in base b, read at m*step - offset.
 
     Binet's formula F_m = (phi**m - psi**m) / sqrt 5 with psi = -1/phi gives
 
@@ -361,20 +365,22 @@ def _fibonacci_err(m: int, bits: int) -> int:
         c_m = log_base(1 - (-1)**m * x),  x = phi**(-2m).
 
     For m >= 1, x <= 1/phi**2 < 1/2, where |ln(1 +- x)| <= 2x; with
-    ln(base) >= ln 2 > 1/2 that gives |c_m| < 4x < 2**(2 - 1.388m), which
-    is the last term here and is one unit from m = 94 on at 128 bits. The
-    rest is _FP_CONST_ERR for each of m*step, offset and the boundary.
+    ln(base) >= ln 2 > 1/2 that gives |c_m| < 4x < 2**(2 - 1.388m), or
+    2**(bits + 2 - 1.388m) units. That Binet part falls with m and is taken
+    at lo; the linear part, _FP_CONST_ERR for each of m*step, offset and the
+    boundary, grows with m and is taken at hi - 1.
     """
-    return (m + 2) * _FP_CONST_ERR + (1 << max(0, bits + 2 - 1388 * m // 1000))
+    def at(bits, lo, hi):
+        step, offset = _fibonacci_logs(b, bits)
+        err = (hi + 1) * _FP_CONST_ERR + (1 << max(0, bits + 2 - 1388 * lo // 1000))
+        return (lo * step - offset) % (1 << bits), step, err
+
+    return at
 
 
 def _resolve_fibonacci(m: int, b: int) -> int:
-    def log_at(bits):
-        step, offset = _fibonacci_logs(b, bits)
-        return (m * step - offset) % (1 << bits), _fibonacci_err(m, bits)
-
     # F_m < phi**m < 2**(0.7m)
-    return _resolve(b, m * 7 // 10 + 1, lambda: _fibonacci(m), log_at,
+    return _resolve(b, m, m * 7 // 10 + 1, lambda: _fibonacci(m), _fibonacci_line(b),
                     f"Fibonacci term {m}")
 
 
@@ -385,30 +391,15 @@ def fibonacci_digits(n: int, b: int) -> Iterator[int]:
 
     prefix = min(n, _FIB_EXACT_PREFIX)
     yield from map(resolve, range(1, prefix + 1))
-    if n > prefix:
-        m = prefix + 1
-        step, offset = _fibonacci_logs(b, LOG_FRACTIONAL_BITS)
-        s = (m * step - offset) % _FP_ONE
-        # past the prefix c_m is under one unit, so the bound only grows
-        # with m, and that of the last term covers them all
-        yield from _log_stream(
-            m, n + 1, s, step, _fibonacci_err(n, LOG_FRACTIONAL_BITS), b, resolve
-        )
+    yield from _line_digits(_fibonacci_line(b), prefix + 1, n + 1, b, resolve)
 
 
 def fibonacci_counts(n: int, b: int, top: int) -> tuple[int, ...]:
     """Counts of the leading digits 1..top of F_1 .. F_n in base b: the
     exact prefix from the stream and the rest by floor sums."""
     head = min(n, _FIB_EXACT_PREFIX)
-
-    def line_at(bits):
-        step, offset = _fibonacci_logs(b, bits)
-        # the Binet part of the bound falls with m and the rest grows, so the
-        # bounds of the first and the last term add up to one for every term
-        err = _fibonacci_err(head + 1, bits) + _fibonacci_err(n, bits)
-        return ((head + 1) * step - offset) % (1 << bits), step, err
-
-    return _histogram(b, top, fibonacci_digits(head, b), n - head, line_at, fibonacci_digits(n, b))
+    return _line_counts(_fibonacci_line(b), fibonacci_digits(head, b), head + 1, n + 1, b,
+                        top, f"F_1 .. F_n for a {n.bit_length()}-bit n")
 
 
 def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:
@@ -429,12 +420,11 @@ def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:
 
 
 def _resolve_factorial(m: int, b: int) -> int:
-    def log_at(bits):
-        return deque(_factorial_logs(m, b, bits), maxlen=1)[0], _FP_CONST_ERR + 2
+    def at(bits, lo, hi):  # no line: the log of lo! itself, with step 0
+        return deque(_factorial_logs(lo, b, bits), maxlen=1)[0], 0, _FP_CONST_ERR + 2
 
     # m! < m**m < 2**(m * m.bit_length())
-    return _resolve(b, m * m.bit_length(), lambda: math.factorial(m), log_at,
-                    f"factorial {m}!")
+    return _resolve(b, m, m * m.bit_length(), lambda: math.factorial(m), at, f"factorial {m}!")
 
 
 def factorial_digits(n: int, b: int) -> Iterator[int]:
@@ -476,10 +466,9 @@ def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:
     if digits:
         return FastDigit(Digit(digits[k % len(digits)], b), certain=True)
 
-    alpha = _log_fixed_point(a, b)
-    s = (k * alpha) % _FP_ONE
+    s, _, err = _power_line(a, b)(LOG_FRACTIONAL_BITS, k, k + 1)
     bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
-    d = _certified(s, k * _FP_CONST_ERR + _FP_CONST_ERR + 1, bounds)
+    d = _certified(s, err, bounds)
     return FastDigit(Digit(d or bisect_right(bounds, s), b), certain=d > 0)
 
 
@@ -491,7 +480,8 @@ def leading_digit_power(a: int, k: int, base) -> Digit:
     k * a.bit_length() <= _EXACT_BITS, otherwise by fixed-point logs at
     256, 512, .. bits until the digit is certified. The error bound stays
     k * _FP_CONST_ERR + _FP_CONST_ERR + 1 units while each doubling squares
-    the unit 2**-bits. Past _MAX_LOG_BITS a ValueError is raised.
+    the unit 2**-bits. Past 2048 bits, or 2 * k.bit_length() + 1024 bits
+    for a k of more than 512 bits, a ValueError is raised (`_escalate`).
 
     Escalation cannot stall on a power that sits exactly on a boundary,
     because such powers are small. Suppose a**k = d * base**e with

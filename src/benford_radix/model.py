@@ -51,9 +51,10 @@ def leading_one_probability(base) -> float:
 
 def limit_leading_one_probability(sample_size: int) -> float:
     """Leading-"1" frequency among N terms of a doubling sequence when every
-    natural number has its own symbol: the symbol 1 appears once, so 1/N.
+    natural number has its own symbol: the symbol 1 appears once, so 1/N,
+    by exact integer division (0.0 or a subnormal past the float range).
     """
     n = as_exact_int(sample_size, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {sample_size}")
-    return 1.0 / n
+    return 1 / n

@@ -109,7 +109,8 @@ def leading_digit_counts(spec: SequenceSpec, base, top: int | None = None) -> tu
 
     Powers and Fibonacci numbers are counted by `logdigits.power_counts` and
     `logdigits.fibonacci_counts` in O(base * log n) steps, with the stream's
-    error bound as certificate; factorials are counted from their stream.
+    error bound as certificate, or refused with a ValueError when no
+    precision certifies them; factorials are counted from their stream.
     """
     b = check_base(base)
     top = b - 1 if top is None else top

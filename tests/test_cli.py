@@ -43,6 +43,20 @@ def cli_subprocess(argv, python_flags=(), **popen_kwargs):
     return subprocess.Popen(command, env=src_env(), **popen_kwargs)
 
 
+def run_bounded(argv, timeout):
+    """(returncode, stdout, stderr, seconds) of the CLI in a subprocess; a
+    child still running after ``timeout`` seconds is killed and fails the test."""
+    start = time.perf_counter()
+    proc = cli_subprocess(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"{' '.join(argv)[:80]} still ran after {timeout} s")
+    return proc.returncode, out, err, time.perf_counter() - start
+
+
 def exact_counts(spec, base, top=None):
     """`sequences.leading_digit_counts` by a tally of the big-integer walk."""
     return tally(sequences.iter_leading_digits_exact(spec, base), base).counts[:top]
@@ -78,19 +92,28 @@ class TestSequenceCommand:
     @pytest.mark.parametrize("argv, n", [
         ("sequence --kind pow2 -n 1000000000000000 --tally --json", 10 ** 15),
         ("table2 -n 1000000000000 --bases 2..64 --json", 10 ** 12),
+        pytest.param(f"sequence --kind pow2 -n {10 ** 400} --tally --json", 10 ** 400,
+                     id="pow2-10**400"),
     ])
     def test_huge_n_histogram_is_fast(self, argv, n):
         # floor sums count the terms in O(log n) steps; a walk would take days
-        start = time.perf_counter()
-        proc = cli_subprocess(argv.split(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        out, err = proc.communicate(timeout=60)
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, err
+        code, out, err, elapsed = run_bounded(argv.split(), timeout=30)
+        assert code == 0, err
         doc = json.loads(out)
         if "histogram" in doc:
             assert doc["histogram"]["total"] == n
         else:
             assert [r["n"] for r in doc["rows"]] == [n] * 64
+        assert elapsed < 2.0
+
+    def test_uncertified_histogram_is_refused_quickly(self):
+        # the Binet part of the Fibonacci bound is a fixed share of the circle
+        # from 512 bits on, so 10**400 terms hit a band at every precision
+        argv = ["sequence", "--kind", "fib", "-n", str(10 ** 400), "--tally"]
+        code, out, err, elapsed = run_bounded(argv, timeout=30)
+        assert code == 1 and out == ""
+        assert err.startswith("benford-radix: error: ") and err.count("\n") == 1, err
+        assert "1329-bit n" in err and "not certified" in err
         assert elapsed < 2.0
 
     def test_digits_above_nine_use_brackets(self, capsys):
@@ -258,6 +281,13 @@ class TestTable2Command:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "table2", "-n", "5", "--bases", "9..7")
         assert code == 1
+
+    def test_sample_size_past_the_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "table2", "-n", str(2 ** 1024), "--bases", "2..2",
+                                 "--json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert rows[0]["empirical_p1"] == 1.0 and 0 < rows[1]["empirical_p1"] < 1e-300
 
     @pytest.mark.parametrize("seq_base", ["1", "0"])
     def test_bad_seq_base(self, seq_base, capsys):

@@ -94,6 +94,10 @@ class TestLimitLeadingOneProbability:
     def test_tends_to_zero(self):
         assert limit_leading_one_probability(10 ** 6) < 1e-5
 
+    def test_past_the_float_range(self):
+        assert limit_leading_one_probability(2 ** 1024) == 2.0 ** -1024
+        assert limit_leading_one_probability(10 ** 400) == 0.0
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             limit_leading_one_probability(0)

@@ -302,6 +302,16 @@ class TestHistogramCounts:
         want = tally(iter_leading_digits(spec, base), base).counts
         assert leading_digit_counts(spec, base) == want
 
+    @pytest.mark.parametrize("a, base", [(2, 10), (3, 7)])
+    def test_one_more_power_past_2048_bits(self, a, base):
+        # the bound of 10**400 terms needs 4096 bits; one more term adds
+        # exactly its own digit, which the resolver certifies on its own
+        n = 10 ** 400
+        before = leading_digit_counts(SequenceSpec.powers(a, n), base)
+        after = leading_digit_counts(SequenceSpec.powers(a, n + 1), base)
+        d = leading_digit_power(a, n, base)
+        assert [y - x for x, y in zip(before, after)] == [int(i == d) for i in range(1, base)]
+
     def test_top_is_a_digit(self):
         spec = SequenceSpec.powers(2, 10)
         for top in (0, 10):
@@ -345,11 +355,20 @@ class TestCountCertificate:
         assert calls == [(128, False), (256, True)]
 
     @BAND_SPECS
-    def test_band_hit_at_every_precision_tallies_the_stream(self, spec, monkeypatch):
+    def test_band_hit_at_every_precision_is_refused(self, spec, monkeypatch):
         calls = _spy_on_counts(monkeypatch)
         monkeypatch.setattr(logdigits, "_FP_CONST_ERR", 1 << logdigits._MAX_LOG_BITS)
-        assert leading_digit_counts(spec, 10) == _exact_counts(spec, 10)
+        with pytest.raises(ValueError, match="not certified"):
+            leading_digit_counts(spec, 10)
         assert calls == [(bits, False) for bits in (128, 256, 512, 1024, 2048)]
+
+    def test_huge_n_escalates_past_2048_bits(self, monkeypatch):
+        # a 1329-bit n: the bound is about n units and n terms are counted,
+        # so 2048 bits leave bands hit and the ladder goes on to 4096
+        calls = _spy_on_counts(monkeypatch)
+        n = 10 ** 400
+        assert sum(leading_digit_counts(SequenceSpec.powers(2, n), 10)) == n
+        assert calls == [(bits, False) for bits in (128, 256, 512, 1024, 2048)] + [(4096, True)]
 
 
 class TestLogKernel:
@@ -379,13 +398,16 @@ class TestLogKernel:
 
 
 class TestResolver:
-    @pytest.mark.parametrize("k", [10 ** 40, 10 ** 40 + 1, 3 * 10 ** 40 + 7, 2 ** 133 - 1])
+    @pytest.mark.parametrize("k", [10 ** 40, 10 ** 40 + 1, 3 * 10 ** 40 + 7, 2 ** 133 - 1,
+                                   pytest.param(10 ** 700, id="10**700")])
     def test_huge_exponent_matches_mpmath(self, k):
         assert not leading_digit_power_fast(2, k, 10).certain
         start = time.perf_counter()
         got = leading_digit_power(2, k, 10)
         elapsed = time.perf_counter() - start
-        assert got == leading_digit_of_power_by_mpmath(2, k, 10)
+        # k * log10(2) has about k.bit_length() * 0.3 integer digits
+        dps = max(200, k.bit_length() * 3 // 10 + 100)
+        assert got == leading_digit_of_power_by_mpmath(2, k, 10, dps=dps)
         assert elapsed < 1.0
 
     def test_boundary_hit_beyond_the_exact_cap_is_refused(self, monkeypatch):

@@ -3,97 +3,84 @@
 Exact big-integer digit extraction, generated test sequences with a
 certified fast logarithmic path, the generalized first-digit law, histogram
 statistics with chi-square/MAD conformity, and dataset ingestion.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first access (PEP 562), so a command pays only
+for the modules it runs.
 """
 
-from .digits import (
-    INFINITE,
-    MAX_BASE,
-    MIN_BASE,
-    Digit,
-    FiniteBaseRequired,
-    NoSignificantDigit,
-    NumeralParseError,
-    check_base,
-    leading_digit_decimal_string,
-    leading_digit_fraction,
-    leading_digit_int,
-)
-from .ingest import DatasetSource, IngestError, IngestStats, ingest
-from .model import (
-    BenfordPmf,
-    benford_pmf,
-    leading_one_probability,
-    limit_leading_one_probability,
-)
-from .sequences import (
-    LOG_FRACTIONAL_BITS,
-    FastDigit,
-    SequenceSpec,
-    generate,
-    iter_leading_digits,
-    iter_leading_digits_exact,
-    leading_digit_counts,
-    leading_digit_power,
-    leading_digit_power_fast,
-)
-from .stats import (
-    DEFAULT_MAD_THRESHOLDS,
-    DigitHistogram,
-    EmptyHistogram,
-    FitReport,
-    LeadingOneRow,
-    MadThresholds,
-    RadixMismatch,
-    chi_square_fit,
-    chi_square_p_value,
-    chunked_tally,
-    leading_one_by_base,
-    merge,
-    tally,
-)
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITE",
-    "MAX_BASE",
-    "MIN_BASE",
-    "Digit",
-    "FiniteBaseRequired",
-    "NoSignificantDigit",
-    "NumeralParseError",
-    "check_base",
-    "leading_digit_decimal_string",
-    "leading_digit_fraction",
-    "leading_digit_int",
-    "DatasetSource",
-    "IngestError",
-    "IngestStats",
-    "ingest",
-    "BenfordPmf",
-    "benford_pmf",
-    "leading_one_probability",
-    "limit_leading_one_probability",
-    "LOG_FRACTIONAL_BITS",
-    "FastDigit",
-    "SequenceSpec",
-    "generate",
-    "iter_leading_digits",
-    "iter_leading_digits_exact",
-    "leading_digit_counts",
-    "leading_digit_power",
-    "leading_digit_power_fast",
-    "DEFAULT_MAD_THRESHOLDS",
-    "DigitHistogram",
-    "EmptyHistogram",
-    "FitReport",
-    "LeadingOneRow",
-    "MadThresholds",
-    "RadixMismatch",
-    "chi_square_fit",
-    "chi_square_p_value",
-    "chunked_tally",
-    "leading_one_by_base",
-    "merge",
-    "tally",
-]
+_EXPORTS = {
+    "digits": (
+        "INFINITE",
+        "MAX_BASE",
+        "MIN_BASE",
+        "Digit",
+        "FiniteBaseRequired",
+        "NoSignificantDigit",
+        "NumeralParseError",
+        "check_base",
+        "leading_digit_decimal_string",
+        "leading_digit_fraction",
+        "leading_digit_int",
+    ),
+    "ingest": ("DatasetSource", "IngestError", "IngestStats", "ingest"),
+    "model": (
+        "BenfordPmf",
+        "benford_pmf",
+        "leading_one_probability",
+        "limit_leading_one_probability",
+    ),
+    "sequences": (
+        "LOG_FRACTIONAL_BITS",
+        "FastDigit",
+        "SequenceSpec",
+        "generate",
+        "iter_leading_digits",
+        "iter_leading_digits_exact",
+        "leading_digit_counts",
+        "leading_digit_power",
+        "leading_digit_power_fast",
+    ),
+    "stats": (
+        "DEFAULT_MAD_THRESHOLDS",
+        "DigitHistogram",
+        "EmptyHistogram",
+        "FitReport",
+        "LeadingOneRow",
+        "MadThresholds",
+        "RadixMismatch",
+        "chi_square_fit",
+        "chi_square_p_value",
+        "chunked_tally",
+        "leading_one_by_base",
+        "merge",
+        "tally",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(type(sys)):
+    # The import system binds each submodule it loads on this package, and
+    # one of them shares its name with the function `ingest`: keep the name.
+    def __setattr__(self, name, value):
+        if not (name in _MODULE_OF and isinstance(value, type(sys))):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

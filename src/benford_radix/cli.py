@@ -17,7 +17,6 @@ from .ingest import DatasetSource, IngestStats, ingest
 from .model import benford_pmf
 from .reference import BENFORD_1938_FIRST_DIGIT
 from .report import ReportDocument, json_base, render_csv, render_json, render_text
-from .sequences import SequenceSpec, generate, iter_leading_digits, leading_digit_counts
 from .stats import DigitHistogram, FitReport, chi_square_fit, leading_one_by_base, tally
 
 _BASES_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
@@ -31,6 +30,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_kind(kind: str, length: int) -> SequenceSpec:
+    from .sequences import SequenceSpec  # loaded only by the commands that use it
+
     if kind == "pow2":
         return SequenceSpec.powers(2, length)
     if kind.startswith("powa:"):
@@ -98,6 +99,8 @@ def _cmd_table1(args) -> ReportDocument:
 
 
 def _cmd_sequence(args) -> ReportDocument | None:
+    from .sequences import generate, iter_leading_digits, leading_digit_counts
+
     base = check_base(args.base)
     spec = _parse_kind(args.kind, args.n)
     if args.emit_values:

@@ -38,10 +38,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .digits import Digit, _leading_digit, as_exact_int, check_base
 
@@ -435,8 +434,7 @@ def factorial_digits(n: int, b: int) -> Iterator[int]:
         yield digit_at[bisect_right(edges, s)] or _resolve_factorial(m, b)
 
 
-@dataclass(frozen=True)
-class FastDigit:
+class FastDigit(NamedTuple):
     """Result of the logarithmic path: a digit plus whether it is certified."""
 
     digit: Digit

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .digits import as_exact_int, check_base
 
 
-@dataclass(frozen=True)
-class BenfordPmf:
+class BenfordPmf(NamedTuple):
     """Theoretical first-digit probabilities for one base.
 
     ``probs[i]`` is the probability of digit i+1; use ``prob(d)`` to index

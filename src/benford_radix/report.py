@@ -21,17 +21,18 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any
 
 
-@dataclass
-class ReportDocument:
-    mode: str
-    base: Any = None  # int, INFINITE, or None when `bases` is used
-    bases: list | None = None
-    payload: dict[str, Any] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+class ReportDocument(SimpleNamespace):
+    """One command's result; ``base`` is an int, INFINITE, or None when ``bases`` is used."""
+
+    def __init__(self, mode: str, base: Any = None, bases: list | None = None,
+                 payload: dict[str, Any] | None = None, warnings: list[str] | None = None):
+        super().__init__(mode=mode, base=base, bases=bases,
+                         payload={} if payload is None else payload,
+                         warnings=[] if warnings is None else warnings)
 
 
 def json_base(b):

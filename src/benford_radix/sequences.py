@@ -16,8 +16,7 @@ lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .digits import check_base
 from .logdigits import (  # the single-power API is re-exported from here
@@ -34,24 +33,28 @@ from .logdigits import (  # the single-power API is re-exported from here
 )
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """What to generate: powers of a, factorials, or Fibonacci numbers."""
-
+class _Spec(NamedTuple):
     kind: str
     length: int
-    power_base: int | None = None
+    power_base: int | None
 
-    def __post_init__(self):
-        if self.kind not in ("powers", "factorial", "fibonacci"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if not isinstance(self.length, int) or self.length < 1:
-            raise ValueError(f"length must be an integer >= 1, got {self.length!r}")
-        if self.kind == "powers":
-            if not isinstance(self.power_base, int) or self.power_base < 2:
+
+class SequenceSpec(_Spec):
+    """What to generate: powers of a, factorials, or Fibonacci numbers."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, length: int, power_base: int | None = None):
+        if kind not in ("powers", "factorial", "fibonacci"):
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        if not isinstance(length, int) or length < 1:
+            raise ValueError(f"length must be an integer >= 1, got {length!r}")
+        if kind == "powers":
+            if not isinstance(power_base, int) or power_base < 2:
                 raise ValueError("powers sequence needs an integer base >= 2")
-        elif self.power_base is not None:
-            raise ValueError(f"power_base is only valid for powers, not {self.kind}")
+        elif power_base is not None:
+            raise ValueError(f"power_base is only valid for powers, not {kind}")
+        return super().__new__(cls, kind, length, power_base)
 
     @classmethod
     def powers(cls, a: int, length: int) -> "SequenceSpec":

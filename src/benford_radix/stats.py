@@ -10,8 +10,7 @@ erfc plus a finite sum for odd df.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .digits import INFINITE, Digit, as_exact_int, check_base
 from .model import BenfordPmf, leading_one_probability, limit_leading_one_probability
@@ -19,7 +18,6 @@ from .reference import (
     POW2_LEADING_ONE_REFERENCE,
     POW2_LEADING_ONE_REFERENCE_INFINITE,
 )
-from .sequences import SequenceSpec, leading_digit_counts
 
 
 class RadixMismatch(ValueError):
@@ -30,25 +28,26 @@ class EmptyHistogram(ValueError):
     """The operation needs at least one observation."""
 
 
-@dataclass(frozen=True)
-class DigitHistogram:
+class _Histogram(NamedTuple):
+    base: int
+    counts: tuple[int, ...]
+
+
+class DigitHistogram(_Histogram):
     """Occurrence counts of leading digits 1..base-1.
 
     ``counts[i]`` is the count for digit i+1; ``count(d)`` indexes by value.
     """
 
-    base: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_base(self.base)
-        if len(self.counts) != self.base - 1:
-            raise ValueError(
-                f"need {self.base - 1} counts for base {self.base}, "
-                f"got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts):
+    def __new__(cls, base: int, counts: tuple[int, ...]):
+        check_base(base)
+        if len(counts) != base - 1:
+            raise ValueError(f"need {base - 1} counts for base {base}, got {len(counts)}")
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
+        return super().__new__(cls, base, counts)
 
     @classmethod
     def zero(cls, base) -> "DigitHistogram":
@@ -134,8 +133,7 @@ def chi_square_p_value(statistic: float, df: int) -> float:
     return min(q, 1.0)  # for a tiny statistic the rounded sum can pass 1
 
 
-@dataclass(frozen=True)
-class MadThresholds:
+class MadThresholds(NamedTuple):
     """Verdict cutoffs on the mean absolute deviation (configuration, not math)."""
 
     close: float = 0.006
@@ -158,8 +156,7 @@ DEFAULT_MAD_THRESHOLDS = MadThresholds()
 SMALL_CELL_EXPECTED = 5.0
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Goodness-of-fit summary of an observed histogram against a PMF."""
 
     statistic_chi2: float
@@ -227,8 +224,7 @@ def chi_square_fit(
 # --- multi-base leading-one table -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeadingOneRow:
+class LeadingOneRow(NamedTuple):
     """One row of the cross-base table: empirical vs asymptotic vs reference P(1)."""
 
     base: int | float  # INFINITE marks the "own symbol per number" row
@@ -253,6 +249,8 @@ def leading_one_by_base(
     n = as_exact_int(sample_size, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {sample_size}")
+    from .sequences import SequenceSpec, leading_digit_counts  # loaded for this table only
+
     spec = SequenceSpec.powers(sequence_base, n)
     has_reference = sequence_base == 2
     rows = []

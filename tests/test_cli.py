@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import test_documents
-from benford_radix import cli, digits, sequences, stats
+from benford_radix import cli, digits, sequences
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string, leading_digit_fraction
 from benford_radix.stats import tally
@@ -76,7 +76,7 @@ class TestSequenceCommand:
     @pytest.mark.parametrize("kind", ["pow2", "powa:3", "fib", "fact"])
     def test_tally_needs_no_big_integer_terms(self, kind, capsys, monkeypatch):
         argv = ["sequence", "--kind", kind, "--base", "10", "-n", "3000", "--tally"]
-        monkeypatch.setattr(cli, "leading_digit_counts", exact_counts)
+        monkeypatch.setattr(sequences, "leading_digit_counts", exact_counts)
         assert main(argv) == 0
         exact_doc = capsys.readouterr().out
         monkeypatch.undo()
@@ -202,9 +202,8 @@ class TestSequenceCommand:
         assert code == 0 and err == ""
         monkeypatch.undo()
         # the same document from the exact big-integer route
-        monkeypatch.setattr(cli, "iter_leading_digits", sequences.iter_leading_digits_exact)
-        monkeypatch.setattr(cli, "leading_digit_counts", exact_counts)
-        monkeypatch.setattr(stats, "leading_digit_counts", exact_counts)
+        monkeypatch.setattr(sequences, "iter_leading_digits", sequences.iter_leading_digits_exact)
+        monkeypatch.setattr(sequences, "leading_digit_counts", exact_counts)
         assert run_cli(capsys, *argv.split()) == (0, out, "")
 
 
@@ -572,8 +571,12 @@ class TestCliContract:
         ["sequence", "--kind", "fact", "-n", "100", "--tally"],
         ["analyze", "{path}"],
         ["analyze", "{path}", "--base", "7"],
+        ["table1", "--csv"],
+        ["table2", "-n", "100", "--json"],
+        ["sequence", "--kind", "pow2", "-n", "20"],
     ])
     def test_decimal_is_never_imported(self, argv, tmp_path):
+        # start-up budget: each command loads only the modules it runs
         data = tmp_path / "small.txt"
         data.write_text("1\n22\n0.333\n-4e2\n", encoding="utf-8")
         argv = [a.format(path=data) for a in argv]
@@ -583,8 +586,13 @@ class TestCliContract:
         assert proc.returncode == 0, err
         modules = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
                    if line.startswith("import time:")}
-        assert "benford_radix.logdigits" in modules
-        assert not {"decimal", "_decimal", "_pydecimal"} & modules
+        assert "benford_radix.digits" in modules
+        assert not {"decimal", "_decimal", "_pydecimal", "dataclasses", "inspect"} & modules
+        engine = {"benford_radix.sequences", "benford_radix.logdigits"}
+        if argv[0] in ("sequence", "table2"):
+            assert engine <= modules
+        else:
+            assert not engine & modules
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

@@ -12,12 +12,11 @@ import re
 import sys
 from itertools import islice
 
-from .digits import check_base, numeral_digits
-from .ingest import DatasetSource, IngestStats, ingest
+from .digits import check_base
 from .model import benford_pmf
 from .reference import BENFORD_1938_FIRST_DIGIT
 from .report import ReportDocument, json_base, render_csv, render_json, render_text
-from .stats import DigitHistogram, FitReport, chi_square_fit, leading_one_by_base, tally
+from .stats import DigitHistogram, FitReport, chi_square_fit, leading_one_by_base
 
 _BASES_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
@@ -146,20 +145,21 @@ def _cmd_table2(args) -> ReportDocument:
 
 
 def _cmd_analyze(args) -> ReportDocument:
+    from .ingest import DatasetSource, IngestStats, scan  # only analyze reads datasets
+
     base = check_base(args.base)
-    source = DatasetSource(
-        format=args.format, column=args.column, skip_header=args.skip_header
-    )
+    source = DatasetSource(args.format, args.column, args.skip_header)
     stats = IngestStats()
-    # newline="" leaves line ends to csv; stdin's bytes are borrowed, not closed
+    # universal newlines for lines, csv's own for csv; stdin is borrowed, not closed
+    newline = None if source.format == "lines" else ""
     if args.path == "-":
-        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline=newline)
         release = fh.detach
     else:
-        fh = open(args.path, encoding="utf-8-sig", newline="")
+        fh = open(args.path, encoding="utf-8-sig", newline=newline)
         release = fh.close
     try:
-        hist = tally(numeral_digits(ingest(source, fh, stats), base), base)
+        hist = DigitHistogram(base, scan(source, fh, base, stats))
     finally:
         release()
     zeros = stats.records - hist.total

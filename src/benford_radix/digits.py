@@ -5,10 +5,10 @@ floating point in any reported digit, because these functions serve as the
 correctness reference for the faster logarithmic paths elsewhere in the
 package. (A float only guesses where to start an exact search.)
 
-Decimal numerals (the grammar of `is_decimal_numeral`, exponents included)
-have one digit engine, `numeral_digits`: in base 10 it reads the first
-significant character, and in any other base it reads the numeral as the
-exact rational p/10**k and places its exponent by integer comparisons.
+Decimal numerals have one grammar, `NUMERAL`, and one digit engine,
+`_numeral_digit`, which reads the digit from the grammar's groups: in base 10
+the first significant character, and in any other base the exact rational
+p/10**k, placed by integer comparisons.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 MIN_BASE = 2
@@ -29,12 +30,15 @@ INFINITE = float("inf")
 #: measured quantity, while 10**(10**6) would cost seconds per record.
 MAX_EXPONENT_DIGITS = 4
 
-_MANTISSA = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
-_NUMERAL_RE = re.compile(_MANTISSA + rf"(?:[eE][+-]?0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}})?")
-_ANY_EXPONENT_RE = re.compile(_MANTISSA + r"[eE][+-]?[0-9]+")
+_EXPONENT = rf"0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}}"
+#: The numeral grammar of `is_decimal_numeral`. Its groups are the integer
+#: digits, the fraction digits and the exponent; each opens with "([", so
+#: ``NUMERAL.replace("([", "(?:[")`` is the same grammar without groups.
+NUMERAL = rf"[+-]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?{_EXPONENT}))?"
 
 _FIRST_DIGIT = {str(d): d for d in range(1, 10)}
 _TENS = tuple(10**k for k in range(32))
+_POWERS: dict[int, list[int]] = {}
 
 
 class NoSignificantDigit(ValueError):
@@ -110,12 +114,20 @@ def _leading_digit(p: int, q: int, b: int) -> int:
     # If p >= q the digit is that of the integer part n = p // q. Otherwise
     # n = (q-1) // p = ceil(q/p) - 1 >= 1, and the value times w * b, the
     # smallest power of b >= ceil(q/p), lies in [1, b). Either way w is the
-    # largest power of b <= n. As b**e <= 2**(bits-1) <= n for
+    # largest power of b <= n: one bisection of b**0 .. (first power of b
+    # >= 2**256), built on first use. Past it, as b**e <= 2**(bits-1) <= n for
     # e <= (bits-1) / log2(b), that less one (for the float's rounding) is a
     # lower bound on e, and at most three exact steps remain.
-    n = p // q if p >= q else (q - 1) // p
-    e = int((n.bit_length() - 1) / math.log2(b)) - 1
-    w = b**e if e > 0 else 1
+    if (table := _POWERS.get(b)) is None:
+        table = _POWERS[b] = [1]
+        while table[-1] < 1 << 256:
+            table.append(table[-1] * b)
+    if p >= q:
+        if (n := p // q) < table[-1]:
+            return n // table[bisect_right(table, n) - 1]
+    elif (n := (q - 1) // p) < table[-1]:
+        return p * table[bisect_right(table, n)] // q
+    w = b ** (int((n.bit_length() - 1) / math.log2(b)) - 1)
     while w * b <= n:
         w *= b
     return n // w if p >= q else p * w * b // q
@@ -144,12 +156,34 @@ def is_decimal_numeral(text: str) -> bool:
     most one point (``-12``, ``0.5``, ``.5``, ``3.``), then optionally an
     exponent of at most MAX_EXPONENT_DIGITS significant digits (``1.5e3``,
     ``2E-4``), and nothing else."""
-    return _NUMERAL_RE.fullmatch(text) is not None
+    return re.fullmatch(NUMERAL, text) is not None
 
 
 def exponent_out_of_range(text: str) -> bool:
     """Whether ``text`` is a numeral but for an exponent past the grammar's bound."""
-    return _NUMERAL_RE.fullmatch(text) is None and _ANY_EXPONENT_RE.fullmatch(text) is not None
+    return not is_decimal_numeral(text) and re.fullmatch(
+        NUMERAL.replace(_EXPONENT, "[0-9]+"), text) is not None
+
+
+def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
+    """First significant digit in base b, or 0 for zero, of the numeral with
+    `NUMERAL` groups ``whole``, ``frac``, ``exponent`` ("" when absent): in
+    base 10 the first nonzero digit, else that of p/10**k, k the fraction
+    digits less the exponent (through `Decimal` past int()'s length limit)."""
+    if b == 10:
+        return _FIRST_DIGIT.get((whole.lstrip("0") or frac.lstrip("0"))[:1], 0)
+    try:
+        p = int(whole + frac)
+        k = len(frac) - int(exponent) if exponent else len(frac)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
+        from decimal import Decimal
+        p, q = Decimal(f"{whole}.{frac}e{exponent or 0}").as_integer_ratio()
+    else:
+        if k >= 0:
+            q = _TENS[k] if k < len(_TENS) else 10**k
+        else:
+            p, q = p * 10**-k, 1
+    return _leading_digit(p, q, b) if p else 0
 
 
 def numeral_digits(numerals: Iterable[str], base) -> Iterator[int]:
@@ -157,47 +191,22 @@ def numeral_digits(numerals: Iterable[str], base) -> Iterator[int]:
 
     Every numeral must already pass `is_decimal_numeral`, as `ingest` yields
     them; nothing here checks it again. Zeros, which have no significant
-    digit, are dropped. In base 10 the digit is the first character left
-    after the sign, zeros and point. In any other base the numeral is the
-    exact rational p/10**k, with k the fraction digits less the exponent;
-    a numeral too long for int() is read through `Decimal` instead.
+    digit, are dropped. Each digit comes from `_numeral_digit`.
     """
     b = check_base(base)
-    if b == 10:
-        first = _FIRST_DIGIT.get
-        for text in numerals:
-            d = first(text.lstrip("+-0.")[:1])  # None for "" or an exponent mark
-            if d:
-                yield d
-        return
-    for text in numerals:
-        mantissa, _, exponent = text.replace("E", "e").partition("e")
-        whole, _, frac = mantissa.partition(".")
-        try:
-            p = abs(int(whole + frac))
-            k = len(frac) - int(exponent) if exponent else len(frac)
-        except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
-            from decimal import Decimal
-            p, q = Decimal(text).as_integer_ratio()
-            p = abs(p)
-        else:
-            if k >= 0:
-                q = _TENS[k] if k < len(_TENS) else 10**k
-            else:
-                p, q = p * 10**-k, 1
-        if p:
-            yield _leading_digit(p, q, b)
+    match = re.compile(NUMERAL).fullmatch
+    return filter(None, (_numeral_digit(b, *match(text).groups("")) for text in numerals))
 
 
 def leading_digit_decimal_string(s: str, base=10) -> int:
     """First significant digit of a decimal numeral string, read in ``base``.
 
     Returns a plain int. The stripped string must pass `is_decimal_numeral`;
-    the digit comes from `numeral_digits`, and zero raises NoSignificantDigit.
+    the digit comes from `_numeral_digit`, and zero raises NoSignificantDigit.
     """
-    text = s.strip()
-    if not is_decimal_numeral(text):
+    m = re.fullmatch(NUMERAL, s.strip())
+    if m is None:
         raise NumeralParseError(f"not a decimal numeral: {s!r}")
-    for d in numeral_digits((text,), base):
+    if d := _numeral_digit(check_base(base), *m.groups("")):
         return d
     raise NoSignificantDigit(f"no significant digit: {s!r} is zero")

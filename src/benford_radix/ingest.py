@@ -9,10 +9,15 @@ bound) are skipped and counted, not fatal.
 from __future__ import annotations
 
 import csv
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+import re
+from collections import Counter
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .digits import MAX_EXPONENT_DIGITS, exponent_out_of_range, is_decimal_numeral
+from .digits import (MAX_EXPONENT_DIGITS, NUMERAL, _numeral_digit, exponent_out_of_range,
+                     is_decimal_numeral)
+
+_CHUNK, _BATCH = 8192, 256  # characters of a lines file, rows of a CSV, read at a time
 
 
 class IngestError(ValueError):
@@ -73,25 +78,48 @@ class IngestStats:
         return out
 
 
-def _emit(token: str, stats: IngestStats) -> str | None:
-    text = token.strip()
+def _skip(text: str, stats: IngestStats, n: int = 1) -> None:
+    """Count ``n`` stripped records that are not numerals."""
     if not text:
-        stats.skipped_blank += 1
-        return None
-    if not is_decimal_numeral(text):
-        if exponent_out_of_range(text):
-            stats.skipped_exponent += 1
-        else:
-            stats.skipped_non_numeric += 1
-        return None
-    stats.records += 1
-    return text
+        stats.skipped_blank += n
+    elif exponent_out_of_range(text):
+        stats.skipped_exponent += n
+    else:
+        stats.skipped_non_numeric += n
 
 
-def _rows(reader) -> Iterator[list[str]]:
-    """The CSV reader's rows, with its parse errors raised as IngestError."""
+def _fields(source: DatasetSource, lines: Iterable[str]) -> Iterator[list[str]]:
+    """The selected fields of the CSV rows of ``lines``, _BATCH rows at a
+    time; "" for an empty row."""
+    reader = rows = csv.reader(lines)
+    column = source.column
     try:
-        yield from reader
+        if isinstance(column, str) and column.isdigit():
+            # an index, unless the first row is too short for it but holds it as a name
+            first = next(rows, None)
+            if first is None:
+                return
+            if source.skip_header or int(column) < len(first) or column not in first:
+                column = int(column)
+            rows = chain([first], rows)
+        if isinstance(column, str):
+            header = next(rows, None)
+            if header is None:
+                return
+            if column not in header:
+                raise IngestError(f"column {column!r} not found in header {header!r}")
+            index = header.index(column)
+        else:
+            index = int(column)
+            if index < 0:
+                raise IngestError(f"column index must be >= 0, got {index}")
+            if source.skip_header:
+                next(rows, None)
+        while fields := [row[index] if row else "" for row in islice(rows, _BATCH)]:
+            yield fields
+    except IndexError:  # the row just read is too short
+        raise IngestError(
+            f"row at line {reader.line_num} has no column {source.column!r}") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise IngestError(f"CSV error at line {reader.line_num}: {exc}") from None
 
@@ -105,51 +133,60 @@ def ingest(
     exhausting the iterator. Structural problems raise IngestError with the
     offending line number.
     """
-    if stats is None:
-        stats = IngestStats()
-    if source.format == "lines":
-        for raw in lines:
-            token = _emit(raw, stats)
-            if token is not None:
-                yield token
-        return
+    stats = IngestStats() if stats is None else stats
+    records = lines if source.format == "lines" else chain.from_iterable(_fields(source, lines))
+    for raw in records:
+        text = raw.strip()
+        if is_decimal_numeral(text):
+            stats.records += 1
+            yield text
+        else:
+            _skip(text, stats)
 
-    reader = csv.reader(lines)
-    rows = _rows(reader)
-    column = source.column
-    if isinstance(column, str) and column.isdigit():
-        # an index, unless the first row is too short for it but holds it as a name
-        first = next(rows, None)
-        if first is None:
-            return
-        if source.skip_header or int(column) < len(first) or column not in first:
-            column = int(column)
-        rows = chain([first], rows)
-    if isinstance(column, str):
-        try:
-            header = next(rows)
-        except StopIteration:
-            return
-        try:
-            index = header.index(column)
-        except ValueError:
-            raise IngestError(
-                f"column {column!r} not found in header {header!r}"
-            ) from None
+
+def _lines(fh: TextIO) -> Iterator[str]:
+    """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n"."""
+    parts = []
+    while chunk := fh.read(_CHUNK):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join(parts) + chunk[:cut]
+            parts.clear()
+        parts.append(chunk[cut:])
+    if tail := "".join(parts):
+        yield tail + "\n"
+
+
+def scan(source: DatasetSource, fh: TextIO, base: int, stats: IngestStats) -> tuple[int, ...]:
+    """Counts of the first digits 1..base-1 of the usable records of ``fh``,
+    ``stats`` filled in as by `ingest`, each record parsed once: the match that
+    validates it gives its digit. Lines (``newline=None``) are matched by one
+    ``findall`` per chunk, CSV fields (``newline=""``) by one ``fullmatch``."""
+    counts = [0] * base  # counts[0]: zeros
+    ten = base == 10  # then one group: the first nonzero digit, if any
+    numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[") if ten else NUMERAL
+    if source.format == "lines":
+        # [^\S\n] is str.strip's whitespace but for the newline ending a line
+        findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
+        for text in _lines(fh):
+            if ten:  # few distinct (digit, raw) pairs: count them in C first
+                for (d, raw), n in Counter(findall(text)).items():
+                    if raw:
+                        _skip(raw.strip(), stats, n)
+                    else:
+                        counts[int(d or 0)] += n
+            else:
+                for whole, frac, exponent, raw in findall(text):
+                    if raw:
+                        _skip(raw.strip(), stats)
+                    else:
+                        counts[_numeral_digit(base, whole, frac, exponent)] += 1
     else:
-        index = int(column)
-        if index < 0:
-            raise IngestError(f"column index must be >= 0, got {index}")
-        if source.skip_header:
-            next(rows, None)
-    for row in rows:
-        if not row:
-            stats.skipped_blank += 1
-            continue
-        if index >= len(row):
-            raise IngestError(
-                f"row at line {reader.line_num} has no column {source.column!r}"
-            )
-        token = _emit(row[index], stats)
-        if token is not None:
-            yield token
+        match = re.compile(rf"\s*{numeral}\s*").fullmatch
+        for field in chain.from_iterable(_fields(source, fh)):
+            if m := match(field):
+                counts[int(m[1] or 0) if ten else _numeral_digit(base, *m.groups(""))] += 1
+            else:
+                _skip(field.strip(), stats)
+    stats.records += sum(counts)
+    return tuple(counts[1:])

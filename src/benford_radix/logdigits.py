@@ -155,12 +155,12 @@ def _log_fixed_point(x: int, base: int, bits: int = LOG_FRACTIONAL_BITS) -> int:
 
 
 @lru_cache(maxsize=None)
-def _digit_boundaries(base: int, bits: int) -> tuple[int, ...]:
-    """Fixed-point t_d = log_base(d) for d = 1..base-1, then t_base = 2**bits.
-
-    Digit d owns [t_d, t_{d+1}).
+def _digit_boundaries(base: int, bits: int, top: int = 0) -> tuple[int, ...]:
+    """Fixed-point t_d = log_base(d) for d = 1..base-1, then t_base = 2**bits
+    (only t_1 .. t_(top+1) for a top > 0). Digit d owns [t_d, t_{d+1}).
     """
-    return tuple(_log_fixed_point(d, base, bits) for d in range(1, base)) + (1 << bits,)
+    return tuple(_log_fixed_point(d, base, bits) if d < base else 1 << bits
+                 for d in range(1, (top or base - 1) + 2))
 
 
 def _certified(s: int, err: int, bounds: tuple[int, ...]) -> int:
@@ -286,8 +286,12 @@ def _line_counts(
     `_linear_counts` at the first precision from 128 bits on that
     certifies them (`_escalate`)."""
     def count(bits):
-        bounds = _digit_boundaries(base, bits)[:top + 1]
-        return _linear_counts(hi - lo, *at(bits, lo, hi), bounds, bits)
+        s, step, err = at(bits, lo, hi)
+        if hi > lo and 2 * err + 1 >= 1 << bits:  # refused before a boundary is read
+            return _linear_counts(hi - lo, s, step, err, (), bits)
+        # past the 128-bit table, which `_certifier` shares, only t_1 .. t_(top+1)
+        bounds = _digit_boundaries(base, bits, 0 if bits == LOG_FRACTIONAL_BITS else top)
+        return _linear_counts(hi - lo, s, step, err, bounds[:top + 1], bits)
 
     rest = _escalate(LOG_FRACTIONAL_BITS, hi - 1, count,
                      f"leading digit histogram of {what} in base {base}")

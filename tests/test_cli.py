@@ -593,6 +593,7 @@ class TestCliContract:
             assert engine <= modules
         else:
             assert not engine & modules
+        assert ("benford_radix.ingest" in modules) == (argv[0] == "analyze")
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

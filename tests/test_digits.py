@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benford_radix import digits
 from benford_radix.digits import (
     INFINITE,
     Digit,
@@ -212,6 +213,24 @@ class TestNumeralDigits:
     def test_base_is_checked_before_any_numeral(self):
         with pytest.raises(FiniteBaseRequired):
             next(numeral_digits(iter(()), INFINITE))
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("base", range(2, 65))
+    def test_edges_match_the_fraction_oracle(self, base):
+        # n = b**e - 1, b**e, b**e + 1 up to two powers past the table, which
+        # ends at the first power >= 2**256, as p // q (p >= q) and as
+        # (q - 1) // p (p < q) in `_leading_digit`
+        digits._leading_digit(1, 1, base)
+        table = digits._POWERS[base]
+        assert table[-2] < 2**256 <= table[-1]
+        for e in range(len(table) + 2):
+            for n in {base**e - 1, base**e, base**e + 1} - {0}:
+                q = 10 ** (2 * len(str(n)) + 2)
+                p = (q - 1) // n  # (q - 1) // p is n, and n - 1 for p + 1
+                for num, den in ((n, 1), (n * 1000 + 999, 1000), (p, q), (p + 1, q)):
+                    assert digits._leading_digit(num, den, base) == (
+                        leading_digit_by_fraction_scaling(num, den, base)), (num, den)
 
 
 class TestLeadingDigitFraction:

@@ -21,6 +21,11 @@ from benford_radix.cli import main
 GOLDEN = Path(__file__).with_name("documents.json")
 
 COMMANDS = [
+    # the same records with CRLF or lone-CR line ends, a BOM, no final newline
+    "analyze {lines_crlf}",
+    "analyze {lines_cr} --base 7",
+    "analyze {csv_crlf} --format csv --column area",
+    "analyze {csv_cr} --format csv --column area --base 7",
     "pmf --base 3",
     "pmf --base 10",
     "pmf --base 16",
@@ -50,12 +55,21 @@ def _values() -> list[str]:
 
 
 def _write_inputs(folder: Path) -> dict[str, str]:
-    lines = folder / "values.txt"
-    lines.write_text("\n".join(_values()) + "\n", encoding="utf-8")
-    table = folder / "values.csv"
-    rows = [f"r{i},{v},x" for i, v in enumerate(_values())]
-    table.write_text("name,area,note\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    return {"lines": str(lines), "csv": str(table)}
+    rows = ["name,area,note"] + [f"r{i},{v},x" for i, v in enumerate(_values())]
+    texts = {
+        "lines": "\n".join(_values()) + "\n",
+        "csv": "\n".join(rows) + "\n",
+        "lines_crlf": "\ufeff" + "\r\n".join(_values()),
+        "lines_cr": "\r".join(_values()) + "\r",
+        "csv_crlf": "\ufeff" + "\r\n".join(rows),
+        "csv_cr": "\r".join(rows) + "\r",
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = folder / f"{name}.{'csv' if name.startswith('csv') else 'txt'}"
+        path.write_bytes(text.encode("utf-8"))
+        paths[name] = str(path)
+    return paths
 
 
 def _stdout(command: str, fmt: str, inputs: dict[str, str]) -> str:
@@ -73,6 +87,17 @@ def _stdout(command: str, fmt: str, inputs: dict[str, str]) -> str:
 def test_document_is_frozen(command, fmt, tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{command} [{fmt}]"]
     assert _stdout(command, fmt, _write_inputs(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_line_ends_leave_the_document_as_it_was(fmt, tmp_path):
+    inputs = _write_inputs(tmp_path)
+    for ends, plain in [
+        ("analyze {lines_crlf}", "analyze {lines}"),
+        ("analyze {csv_cr} --format csv --column area --base 7",
+         "analyze {csv} --format csv --column area --base 7"),
+    ]:
+        assert _stdout(ends, fmt, inputs) == _stdout(plain, fmt, inputs)
 
 
 if __name__ == "__main__":

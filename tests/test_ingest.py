@@ -1,9 +1,19 @@
 import csv
+import importlib
 import io
+import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benford_radix.ingest import DatasetSource, IngestError, IngestStats, ingest
+from benford_radix.digits import is_decimal_numeral, numeral_digits
+from benford_radix.ingest import DatasetSource, IngestError, IngestStats, ingest, scan
+from benford_radix.stats import tally
+
+# the package's name `ingest` is the function
+ingest_module = importlib.import_module("benford_radix.ingest")
 
 
 def run_ingest(source, text):
@@ -124,3 +134,164 @@ class TestCsv:
         src = DatasetSource(format="csv", column="area")
         tokens, stats = run_ingest(src, "")
         assert tokens == [] and stats.records == 0
+
+
+# The numeral grammar written without groups, as an independent reference:
+# `digits.NUMERAL` must accept exactly the same strings.
+OLD_NUMERAL = re.compile(
+    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?0*[0-9]{1,4})?"
+)
+# Whitespace that str.strip removes and the file reader never splits a line at.
+WHITESPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+SPECIAL = [
+    "", "n/a", "e5", "1e", ".", "--3", "3.1.4", "1,5", "0x1F", "\ufeff7",
+    "0", "-0.000", "+.0", "0.", "00e5", "0.000E-3",
+    "7e0009999", "2.5e-9999", "1e10000", "-8E+12345", "3e+000010000",
+    "1" * 4400 + ".25", "0." + "0" * 4400 + "37", "5e" + "0" * 4400 + "9",
+]
+
+
+@st.composite
+def tokens(draw):
+    """A numeral of the grammar (sign, digits, point, exponent) or a special case."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(SPECIAL))
+    body = draw(st.text("0123456789", min_size=1, max_size=14))
+    cut = draw(st.integers(0, len(body)))
+    text = draw(st.sampled_from(["", "+", "-"])) + body[:cut]
+    if cut < len(body) or draw(st.booleans()):
+        text += "." + body[cut:]
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+        text += str(draw(st.integers(0, 12000))).zfill(draw(st.integers(1, 6)))
+    return text
+
+
+@st.composite
+def records(draw):
+    """A token padded with whitespace, or with whitespace put inside it."""
+    pad = st.text(WHITESPACE, max_size=3)
+    token = draw(tokens())
+    if token and draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(token)))
+        token = token[:cut] + draw(st.sampled_from(WHITESPACE)) + token[cut:]
+    return draw(pad) + token + draw(pad)
+
+
+def _join(draw, lines):
+    """``lines`` joined by mixed line ends, maybe with a final one and a BOM."""
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    if draw(st.booleans()):
+        text += draw(ends)
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _csv_field(draw):
+    record = draw(records())
+    if draw(st.booleans()) or any(c in record for c in ',"\r\n'):
+        record += draw(st.sampled_from(["", "\n", "\r\n"]))  # inside the quotes
+        return '"' + record.replace('"', '""') + '"'
+    return record
+
+
+@st.composite
+def lines_files(draw):
+    return _join(draw, draw(st.lists(records(), min_size=1, max_size=25)))
+
+
+@st.composite
+def csv_files(draw):
+    rows = ["id,value"]
+    for i in range(draw(st.integers(0, 20))):
+        rows.append("" if draw(st.integers(0, 9)) == 0 else f"{i},{_csv_field(draw)}")
+    return _join(draw, rows)
+
+
+def _open(text, newline):
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig", newline=newline)
+
+
+def per_record(source, text, base):
+    """The per-record reference: ingest, then numeral_digits, then tally."""
+    stats = IngestStats()
+    hist = tally(numeral_digits(ingest(source, _open(text, ""), stats), base), base)
+    return hist.counts, stats
+
+
+def scanned(source, text, base):
+    stats = IngestStats()
+    fh = _open(text, None if source.format == "lines" else "")
+    return scan(source, fh, base, stats), stats
+
+
+BASES = st.sampled_from([2, 7, 10, 16, 64])
+
+
+class TestScan:
+    @settings(max_examples=300, deadline=None)
+    @given(text=tokens())
+    def test_grammar_is_unchanged(self, text):
+        assert is_decimal_numeral(text) == (OLD_NUMERAL.fullmatch(text) is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=lines_files(), base=BASES, chunk=st.sampled_from([1, 2, 3, 5, 8, 8192]))
+    def test_lines_equal_the_per_record_path(self, text, base, chunk):
+        # chunks of a few characters split lines and \r\n pairs across reads
+        source = DatasetSource(format="lines")
+        want = per_record(source, text, base)
+        old, ingest_module._CHUNK = ingest_module._CHUNK, chunk
+        try:
+            got = scanned(source, text, base)
+        finally:
+            ingest_module._CHUNK = old
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=csv_files(), base=BASES)
+    def test_csv_equals_the_per_record_path(self, text, base):
+        source = DatasetSource(format="csv", column="value")
+        assert scanned(source, text, base) == per_record(source, text, base)
+
+    @pytest.mark.parametrize("text, counts, stats", [
+        ("5\r\n\r6\r 7 \n", (0, 0, 0, 0, 1, 1, 1, 0, 0), (3, 1, 0, 0)),
+        ("\ufeff1\x0b\n\x852\u2028\n3\x0b4", (1, 1, 0) + (0,) * 6, (2, 0, 1, 0)),
+        ("0\n1e10000\n\n", (0,) * 9, (1, 1, 0, 1)),
+        ("n/a\n\nn/a\n \n3\n3\n", (0, 0, 2) + (0,) * 6, (2, 2, 2, 0)),
+    ], ids=["line-ends", "strip-whitespace", "zero-exponent-blank", "repeats"])
+    def test_known_lines(self, text, counts, stats):
+        got, got_stats = scanned(DatasetSource(format="lines"), text, 10)
+        assert got == counts
+        assert got_stats == IngestStats(*stats)
+
+    def test_short_csv_row_reports_its_line(self):
+        source = DatasetSource(format="csv", column=1)
+        # the quoted field spans lines 2 and 3
+        with pytest.raises(IngestError, match="line 4"):
+            scanned(source, '1,2\n"a\nb",3\n7\n', 10)
+
+
+def _peak_scan(source, path, base) -> int:
+    newline = None if source.format == "lines" else ""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        tracemalloc.start()
+        try:
+            scan(source, fh, base, IngestStats())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt, base", [("lines", 10), ("csv", 10)])
+def test_scan_memory_is_flat_in_the_input_size(fmt, base, tmp_path):
+    source = DatasetSource(format=fmt, column="v" if fmt == "csv" else None)
+    peaks = []
+    for n in (20_000, 200_000):
+        path = tmp_path / f"{n}.{fmt}"
+        values = (f"{i * 7919 % 100_003}.{i % 997}e-{i % 7}" if i % 50 else "n/a"
+                  for i in range(n))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("v\n" if fmt == "csv" else "")
+            fh.writelines(f"{v}\n" for v in values)
+        peaks.append(_peak_scan(source, path, base))
+    assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks

@@ -11,6 +11,7 @@ from benford_radix.sequences import (
     SequenceSpec,
     iter_leading_digits,
     iter_leading_digits_exact,
+    leading_digit_counts,
 )
 from benford_radix.stats import (
     DigitHistogram,
@@ -27,6 +28,25 @@ from benford_radix.stats import (
 )
 
 from oracles import gamma_q_by_mpmath
+
+POW2_P1_AT_2_1024 = [
+    1.0, 0.6309297535714574, 0.5, 0.43067655807339306, 0.3868528072345416,
+    0.3562071871080222, 0.3333333333333333, 0.3154648767857287, 0.3010299956639812,
+    0.2890648263178879, 0.27894294565112987, 0.27023815442731974, 0.26264953503719357,
+    0.2559580248098155, 0.25, 0.24465054211822604, 0.23981246656813143,
+    0.23540891336663824, 0.23137821315975918, 0.227670248696953, 0.22424382421757544,
+    0.22106472945750374, 0.21810429198553155, 0.21533827903669653, 0.21274605355336315,
+    0.21030991785715247, 0.20801459767650946, 0.20584683246043445, 0.2037950470905062,
+    0.20184908658209985, 0.2, 0.19823986317056053, 0.1965616322328226,
+    0.1949590218937863, 0.1934264036172708, 0.19195872000656014, 0.1905514124267734,
+    0.18920035951687003, 0.18790182470910757, 0.18665241123894338, 0.1854490234153689,
+    0.18428883314870617, 0.18316925091363362, 0.18208790046993825, 0.18104259678004023,
+    0.18003132665669264, 0.17905223175104137, 0.1781035935540111, 0.17718382013555792,
+    0.1762914343888821, 0.17542506358195453, 0.17458343004804494, 0.17376534287144,
+    0.1729696904450771, 0.17219543379409813, 0.17144160057391344, 0.17070727966372012,
+    0.16999161628691403, 0.16929380759878143, 0.1686130986895011, 0.16794877895704194,
+    0.16730017881017414, 0.16666666666666666,
+]
 
 POW2_FIRST13_DIGITS = [1, 2, 4, 8, 1, 3, 6, 1, 2, 5, 1, 2, 4]
 # counts = round(1000 * the 1938 reference column); sums to exactly 1000
@@ -308,3 +328,13 @@ class TestLeadingOneByBase:
         for row in rows[:-1]:
             exact = iter_leading_digits_exact(SequenceSpec.powers(sequence_base, n), row.base)
             assert row.empirical_p1 == list(exact).count(1) / n, row.base
+
+    def test_counts_past_2048_bits_are_unchanged(self):
+        # the floor-sum count of 2**1024 powers runs at 4096 bits, where only
+        # the top + 1 = 2 boundaries are taken; empirical P(1) in bases
+        # 2..64 as the table computed from every boundary gave it
+        rows = leading_one_by_base(range(2, 65), 2**1024)
+        assert [r.empirical_p1 for r in rows[:-1]] == POW2_P1_AT_2_1024
+        for base in (3, 10, 64):
+            spec = SequenceSpec.powers(2, 2**1024)
+            assert leading_digit_counts(spec, base, 1) == leading_digit_counts(spec, base)[:1]

@@ -9,7 +9,6 @@ imported from its module on first access (PEP 562), so a command pays only
 for the modules it runs.
 """
 
-import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -28,7 +27,7 @@ _EXPORTS = {
         "leading_digit_fraction",
         "leading_digit_int",
     ),
-    "ingest": ("DatasetSource", "IngestError", "IngestStats", "ingest"),
+    "ingest": ("DatasetSource", "IngestError", "IngestStats", "scan"),
     "model": (
         "BenfordPmf",
         "benford_pmf",
@@ -36,7 +35,6 @@ _EXPORTS = {
         "limit_leading_one_probability",
     ),
     "sequences": (
-        "LOG_FRACTIONAL_BITS",
         "FastDigit",
         "SequenceSpec",
         "generate",
@@ -47,12 +45,10 @@ _EXPORTS = {
         "leading_digit_power_fast",
     ),
     "stats": (
-        "DEFAULT_MAD_THRESHOLDS",
         "DigitHistogram",
         "EmptyHistogram",
         "FitReport",
         "LeadingOneRow",
-        "MadThresholds",
         "RadixMismatch",
         "chi_square_fit",
         "chi_square_p_value",
@@ -74,13 +70,3 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
-
-class _Package(type(sys)):
-    # The import system binds each submodule it loads on this package, and
-    # one of them shares its name with the function `ingest`: keep the name.
-    def __setattr__(self, name, value):
-        if not (name in _MODULE_OF and isinstance(value, type(sys))):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -150,18 +149,12 @@ def _cmd_analyze(args) -> ReportDocument:
     base = check_base(args.base)
     source = DatasetSource(args.format, args.column, args.skip_header)
     stats = IngestStats()
-    # universal newlines for lines, csv's own for csv; stdin is borrowed, not closed
-    newline = None if source.format == "lines" else ""
-    if args.path == "-":
-        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline=newline)
-        release = fh.detach
+    if args.path == "-":  # stdin is borrowed, not closed
+        counts = scan(source, sys.stdin.buffer, base, stats)
     else:
-        fh = open(args.path, encoding="utf-8-sig", newline=newline)
-        release = fh.close
-    try:
-        hist = DigitHistogram(base, scan(source, fh, base, stats))
-    finally:
-        release()
+        with open(args.path, "rb") as fh:
+            counts = scan(source, fh, base, stats)
+    hist = DigitHistogram(base, counts)
     zeros = stats.records - hist.total
     warnings = stats.warnings()
     if zeros:

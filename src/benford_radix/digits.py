@@ -17,7 +17,6 @@ import math
 import operator
 import re
 from bisect import bisect_right
-from typing import Iterable, Iterator
 
 MIN_BASE = 2
 MAX_BASE = 64
@@ -31,9 +30,12 @@ INFINITE = float("inf")
 MAX_EXPONENT_DIGITS = 4
 
 _EXPONENT = rf"0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}}"
-#: The numeral grammar of `is_decimal_numeral`. Its groups are the integer
-#: digits, the fraction digits and the exponent; each opens with "([", so
-#: ``NUMERAL.replace("([", "(?:[")`` is the same grammar without groups.
+#: The package's numeral grammar: an optional sign, then digits with at most
+#: one point (``-12``, ``0.5``, ``.5``, ``3.``), then optionally an exponent
+#: of at most MAX_EXPONENT_DIGITS significant digits (``1.5e3``, ``2E-4``).
+#: Its groups are the integer digits, the fraction digits and the exponent;
+#: each opens with "([", so ``NUMERAL.replace("([", "(?:[")`` is the same
+#: grammar without groups.
 NUMERAL = rf"[+-]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?{_EXPONENT}))?"
 
 _FIRST_DIGIT = {str(d): d for d in range(1, 10)}
@@ -151,18 +153,10 @@ def leading_digit_fraction(numerator, denominator, base) -> Digit:
     return Digit(_leading_digit(_checked_magnitude(numerator), q, b), b)
 
 
-def is_decimal_numeral(text: str) -> bool:
-    """The package's numeral grammar: an optional sign, then digits with at
-    most one point (``-12``, ``0.5``, ``.5``, ``3.``), then optionally an
-    exponent of at most MAX_EXPONENT_DIGITS significant digits (``1.5e3``,
-    ``2E-4``), and nothing else."""
-    return re.fullmatch(NUMERAL, text) is not None
-
-
 def exponent_out_of_range(text: str) -> bool:
-    """Whether ``text`` is a numeral but for an exponent past the grammar's bound."""
-    return not is_decimal_numeral(text) and re.fullmatch(
-        NUMERAL.replace(_EXPONENT, "[0-9]+"), text) is not None
+    """Whether ``text``, which `NUMERAL` refused, is a numeral but for an
+    exponent past the grammar's bound."""
+    return re.fullmatch(NUMERAL.replace(_EXPONENT, "[0-9]+"), text) is not None
 
 
 def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
@@ -186,23 +180,11 @@ def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
     return _leading_digit(p, q, b) if p else 0
 
 
-def numeral_digits(numerals: Iterable[str], base) -> Iterator[int]:
-    """First significant digits of decimal numerals read in ``base``, as plain ints.
-
-    Every numeral must already pass `is_decimal_numeral`, as `ingest` yields
-    them; nothing here checks it again. Zeros, which have no significant
-    digit, are dropped. Each digit comes from `_numeral_digit`.
-    """
-    b = check_base(base)
-    match = re.compile(NUMERAL).fullmatch
-    return filter(None, (_numeral_digit(b, *match(text).groups("")) for text in numerals))
-
-
 def leading_digit_decimal_string(s: str, base=10) -> int:
     """First significant digit of a decimal numeral string, read in ``base``.
 
-    Returns a plain int. The stripped string must pass `is_decimal_numeral`;
-    the digit comes from `_numeral_digit`, and zero raises NoSignificantDigit.
+    Returns a plain int. The stripped string must match `NUMERAL`; the digit
+    comes from `_numeral_digit`, and zero raises NoSignificantDigit.
     """
     m = re.fullmatch(NUMERAL, s.strip())
     if m is None:

@@ -1,21 +1,23 @@
-"""Dataset ingestion: turn text files into streams of decimal numeral strings.
+"""Dataset ingestion: first-digit counts of the numerals in a byte stream.
 
-Numerals are passed through verbatim as strings; nothing is ever routed
-through binary floating point, so the digit statistics downstream stay exact.
-Dirty records (blanks, non-numeric tokens, exponents past the grammar's
-bound) are skipped and counted, not fatal.
+`scan` is the one reader. It decides how a dataset is opened: UTF-8 with an
+optional BOM, universal newlines for plain lines and csv's own newline
+handling for CSV. Numerals are read as strings; nothing is ever routed
+through binary floating point, so the digit statistics stay exact. Dirty
+records (blanks, non-numeric tokens, exponents past the grammar's bound) are
+skipped and counted, not fatal.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from collections import Counter
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
-from .digits import (MAX_EXPONENT_DIGITS, NUMERAL, _numeral_digit, exponent_out_of_range,
-                     is_decimal_numeral)
+from .digits import MAX_EXPONENT_DIGITS, NUMERAL, _numeral_digit, exponent_out_of_range
 
 _CHUNK, _BATCH = 8192, 256  # characters of a lines file, rows of a CSV, read at a time
 
@@ -53,7 +55,7 @@ class DatasetSource(_Source):
 
 
 class IngestStats:
-    """Counters filled in while the ingest stream is consumed."""
+    """Counters of the records `scan` read and skipped."""
 
     # every record bumps a counter: plain attributes, which bump about 3x
     # faster than those of a SimpleNamespace
@@ -79,7 +81,7 @@ class IngestStats:
 
 
 def _skip(text: str, stats: IngestStats, n: int = 1) -> None:
-    """Count ``n`` stripped records that are not numerals."""
+    """Count ``n`` stripped records that `NUMERAL` refused."""
     if not text:
         stats.skipped_blank += n
     elif exponent_out_of_range(text):
@@ -124,26 +126,6 @@ def _fields(source: DatasetSource, lines: Iterable[str]) -> Iterator[list[str]]:
         raise IngestError(f"CSV error at line {reader.line_num}: {exc}") from None
 
 
-def ingest(
-    source: DatasetSource, lines: Iterable[str], stats: IngestStats | None = None
-) -> Iterator[str]:
-    """Yield one numeral string per usable record of ``lines``.
-
-    ``stats`` (if given) is updated as the stream is consumed; read it after
-    exhausting the iterator. Structural problems raise IngestError with the
-    offending line number.
-    """
-    stats = IngestStats() if stats is None else stats
-    records = lines if source.format == "lines" else chain.from_iterable(_fields(source, lines))
-    for raw in records:
-        text = raw.strip()
-        if is_decimal_numeral(text):
-            stats.records += 1
-            yield text
-        else:
-            _skip(text, stats)
-
-
 def _lines(fh: TextIO) -> Iterator[str]:
     """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n"."""
     parts = []
@@ -157,36 +139,46 @@ def _lines(fh: TextIO) -> Iterator[str]:
         yield tail + "\n"
 
 
-def scan(source: DatasetSource, fh: TextIO, base: int, stats: IngestStats) -> tuple[int, ...]:
-    """Counts of the first digits 1..base-1 of the usable records of ``fh``,
-    ``stats`` filled in as by `ingest`, each record parsed once: the match that
-    validates it gives its digit. Lines (``newline=None``) are matched by one
-    ``findall`` per chunk, CSV fields (``newline=""``) by one ``fullmatch``."""
+def scan(
+    source: DatasetSource, stream: BinaryIO, base: int, stats: IngestStats
+) -> tuple[int, ...]:
+    """Counts of the first digits 1..base-1 of the usable records of the
+    byte ``stream``, with ``stats`` filled in. Each record is parsed once: the
+    match that validates it gives its digit. Lines are matched by one
+    ``findall`` per chunk, CSV fields by one ``fullmatch``. ``stream`` is
+    left open. Structural problems raise IngestError with the offending
+    line number, and undecodable bytes UnicodeDecodeError."""
     counts = [0] * base  # counts[0]: zeros
     ten = base == 10  # then one group: the first nonzero digit, if any
     numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[") if ten else NUMERAL
-    if source.format == "lines":
-        # [^\S\n] is str.strip's whitespace but for the newline ending a line
-        findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
-        for text in _lines(fh):
-            if ten:  # few distinct (digit, raw) pairs: count them in C first
-                for (d, raw), n in Counter(findall(text)).items():
-                    if raw:
-                        _skip(raw.strip(), stats, n)
-                    else:
-                        counts[int(d or 0)] += n
-            else:
-                for whole, frac, exponent, raw in findall(text):
-                    if raw:
-                        _skip(raw.strip(), stats)
-                    else:
-                        counts[_numeral_digit(base, whole, frac, exponent)] += 1
-    else:
-        match = re.compile(rf"\s*{numeral}\s*").fullmatch
-        for field in chain.from_iterable(_fields(source, fh)):
-            if m := match(field):
-                counts[int(m[1] or 0) if ten else _numeral_digit(base, *m.groups(""))] += 1
-            else:
-                _skip(field.strip(), stats)
+    # universal newlines for lines, csv's own for csv
+    fh = io.TextIOWrapper(stream, encoding="utf-8-sig",
+                          newline=None if source.format == "lines" else "")
+    try:
+        if source.format == "lines":
+            # [^\S\n] is str.strip's whitespace but for the newline ending a line
+            findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
+            for text in _lines(fh):
+                if ten:  # few distinct (digit, raw) pairs: count them in C first
+                    for (d, raw), n in Counter(findall(text)).items():
+                        if raw:
+                            _skip(raw.strip(), stats, n)
+                        else:
+                            counts[int(d or 0)] += n
+                else:
+                    for whole, frac, exponent, raw in findall(text):
+                        if raw:
+                            _skip(raw.strip(), stats)
+                        else:
+                            counts[_numeral_digit(base, whole, frac, exponent)] += 1
+        else:
+            match = re.compile(rf"\s*{numeral}\s*").fullmatch
+            for field in chain.from_iterable(_fields(source, fh)):
+                if m := match(field):
+                    counts[int(m[1] or 0) if ten else _numeral_digit(base, *m.groups(""))] += 1
+                else:
+                    _skip(field.strip(), stats)
+    finally:
+        fh.detach()  # the wrapper would close ``stream`` when collected
     stats.records += sum(counts)
     return tuple(counts[1:])

@@ -69,7 +69,8 @@ _MAX_LOG_BITS = 1 << 11
 _POWER_EXACT_PREFIX = 64
 #: Fibonacci terms up to this index are resolved exactly. Past it the Binet
 #: part of the bound (see `_fibonacci_line`), 2**(bits - 276) units at F_201,
-#: is below one unit only up to 256 bits.
+#: is below one unit only up to 256 bits, so a histogram streams a longer
+#: prefix (`fibonacci_counts`).
 _FIB_EXACT_PREFIX = 200
 
 _T = TypeVar("_T")
@@ -181,15 +182,24 @@ def _certifier(base: int, err: int) -> tuple[list[int], list[int]]:
     return edges, [0] + [x for d in range(1, base) for x in (d, 0)]
 
 
+def _ceiling(bits: int, last: int) -> int:
+    """The last precision `_escalate` tries from ``bits`` for the ``last``
+    index read: the first of bits, 2 * bits, .. of at least
+    2 * last.bit_length() + _MAX_LOG_BITS // 2."""
+    while bits < 2 * last.bit_length() + _MAX_LOG_BITS // 2:
+        bits *= 2
+    return bits
+
+
 def _escalate(bits: int, last: int, certify: Callable[[int], _T], what: str) -> _T:
     """certify(bits) at ``bits``, then at twice the bits until it is truthy
-    (Ziv's strategy), up to the first precision of at least
-    2 * last.bit_length() + _MAX_LOG_BITS // 2 for the ``last`` index read,
-    past which a ValueError is raised. A term's bound grows like its index
-    n and a histogram holds n terms, so band hits fall like n**2 * 2**-bits.
+    (Ziv's strategy), up to `_ceiling`, past which a ValueError is raised.
+    A term's bound grows like its index n and a histogram holds n terms, so
+    band hits fall like n**2 * 2**-bits.
     """
+    ceiling = _ceiling(bits, last)
     while not (got := certify(bits)):
-        if bits >= 2 * last.bit_length() + _MAX_LOG_BITS // 2:
+        if bits >= ceiling:
             raise ValueError(f"{what} is not certified at {bits} bits")
         bits *= 2
     return got
@@ -398,9 +408,12 @@ def fibonacci_digits(n: int, b: int) -> Iterator[int]:
 
 
 def fibonacci_counts(n: int, b: int, top: int) -> tuple[int, ...]:
-    """Counts of the leading digits 1..top of F_1 .. F_n in base b: the
-    exact prefix from the stream and the rest by floor sums."""
-    head = min(n, _FIB_EXACT_PREFIX)
+    """Counts of the leading digits 1..top of F_1 .. F_n in base b: a prefix
+    from the stream and the rest by floor sums. The prefix is long enough
+    that the Binet part of the bound, 2**(bits + 2 - 1.388m) units at its
+    first counted term m, is one unit at every precision `_escalate` tries."""
+    bits = _ceiling(LOG_FRACTIONAL_BITS, n)
+    head = min(n, max(_FIB_EXACT_PREFIX, (bits + 8) * 1000 // 1388 + 1))
     return _line_counts(_fibonacci_line(b), fibonacci_digits(head, b), head + 1, n + 1, b,
                         top, f"F_1 .. F_n for a {n.bit_length()}-bit n")
 

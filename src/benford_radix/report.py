@@ -17,9 +17,7 @@ everywhere regardless of locale conventions.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from types import SimpleNamespace
 from typing import Any
@@ -55,6 +53,8 @@ def _round_reals(value):
 
 
 def render_json(doc: ReportDocument) -> str:
+    import json  # loaded only by the documents that use it, as is csv
+
     out: dict[str, Any] = {"mode": doc.mode}
     if doc.bases is not None:
         out["bases"] = [json_base(b) for b in doc.bases]
@@ -144,6 +144,8 @@ def _csv_value(value):
 
 
 def render_csv(doc: ReportDocument) -> str:
+    import csv
+
     columns, rows = _table(doc.payload)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple
 
 from .digits import check_base
 from .logdigits import (  # the single-power API is re-exported from here
-    LOG_FRACTIONAL_BITS,
     FastDigit,
     factorial_digits,
     fibonacci_counts,

@@ -133,24 +133,14 @@ def chi_square_p_value(statistic: float, df: int) -> float:
     return min(q, 1.0)  # for a tiny statistic the rounded sum can pass 1
 
 
-class MadThresholds(NamedTuple):
-    """Verdict cutoffs on the mean absolute deviation (configuration, not math)."""
-
-    close: float = 0.006
-    acceptable: float = 0.012
-    marginal: float = 0.015
-
-    def verdict(self, mad: float) -> str:
-        if mad <= self.close:
-            return "close"
-        if mad <= self.acceptable:
-            return "acceptable"
-        if mad <= self.marginal:
-            return "marginal"
-        return "nonconforming"
+#: Verdict cutoffs on the mean absolute deviation: at most each of them
+#: reads as the verdict beside it, past the last as "nonconforming".
+_MAD_VERDICTS = ((0.006, "close"), (0.012, "acceptable"), (0.015, "marginal"))
 
 
-DEFAULT_MAD_THRESHOLDS = MadThresholds()
+def _verdict(mad: float) -> str:
+    return next((v for cutoff, v in _MAD_VERDICTS if mad <= cutoff), "nonconforming")
+
 
 #: Expected counts below this trip the classic small-cell warning.
 SMALL_CELL_EXPECTED = 5.0
@@ -173,11 +163,7 @@ def _chi_square_statistic(counts: Sequence[int], probs: Sequence[float]) -> floa
     return sum((o - n * p) ** 2 / (n * p) for o, p in zip(counts, probs))
 
 
-def chi_square_fit(
-    observed: DigitHistogram,
-    expected: BenfordPmf,
-    thresholds: MadThresholds = DEFAULT_MAD_THRESHOLDS,
-) -> FitReport:
+def chi_square_fit(observed: DigitHistogram, expected: BenfordPmf) -> FitReport:
     """Chi-square and MAD conformity of observed digit counts to a PMF.
 
     Degrees of freedom are (base-1) - 1, so base 2 (a single cell) has no
@@ -216,7 +202,7 @@ def chi_square_fit(
         p_value=p_value,
         mad=mad,
         max_deviation=max_deviation,
-        verdict=thresholds.verdict(mad),
+        verdict=_verdict(mad),
         warnings=tuple(warnings),
     )
 

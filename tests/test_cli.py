@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import test_documents
-from benford_radix import cli, digits, sequences
+from benford_radix import cli, digits, logdigits, sequences
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string, leading_digit_fraction
 from benford_radix.stats import tally
@@ -94,6 +94,8 @@ class TestSequenceCommand:
         ("table2 -n 1000000000000 --bases 2..64 --json", 10 ** 12),
         pytest.param(f"sequence --kind pow2 -n {10 ** 400} --tally --json", 10 ** 400,
                      id="pow2-10**400"),
+        pytest.param(f"sequence --kind fib -n {10 ** 400} --tally --json", 10 ** 400,
+                     id="fib-10**400"),
     ])
     def test_huge_n_histogram_is_fast(self, argv, n):
         # floor sums count the terms in O(log n) steps; a walk would take days
@@ -106,15 +108,17 @@ class TestSequenceCommand:
             assert [r["n"] for r in doc["rows"]] == [n] * 64
         assert elapsed < 2.0
 
-    def test_uncertified_histogram_is_refused_quickly(self):
-        # the Binet part of the Fibonacci bound is a fixed share of the circle
-        # from 512 bits on, so 10**400 terms hit a band at every precision
-        argv = ["sequence", "--kind", "fib", "-n", str(10 ** 400), "--tally"]
-        code, out, err, elapsed = run_bounded(argv, timeout=30)
+    def test_uncertified_histogram_is_refused_quickly(self, capsys, monkeypatch):
+        # constants off by 2**8192 units leave every band wider than the circle
+        # up to 4096 bits, the last precision tried for a 1329-bit n
+        monkeypatch.setattr(logdigits, "_FP_CONST_ERR", 1 << 8192)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sequence", "--kind", "fib", "-n", str(10 ** 400),
+                                 "--tally")
         assert code == 1 and out == ""
         assert err.startswith("benford-radix: error: ") and err.count("\n") == 1, err
-        assert "1329-bit n" in err and "not certified" in err
-        assert elapsed < 2.0
+        assert "1329-bit n" in err and "not certified at 4096 bits" in err
+        assert time.perf_counter() - start < 2.0
 
     def test_digits_above_nine_use_brackets(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "powa:12", "--base", "16", "-n", "2")
@@ -574,6 +578,7 @@ class TestCliContract:
         ["table1", "--csv"],
         ["table2", "-n", "100", "--json"],
         ["sequence", "--kind", "pow2", "-n", "20"],
+        ["table1"],
     ])
     def test_decimal_is_never_imported(self, argv, tmp_path):
         # start-up budget: each command loads only the modules it runs
@@ -594,6 +599,9 @@ class TestCliContract:
         else:
             assert not engine & modules
         assert ("benford_radix.ingest" in modules) == (argv[0] == "analyze")
+        # a document format's module loads only for that format (csv also for analyze)
+        assert ("json" in modules) == ("--json" in argv)
+        assert ("csv" in modules) == ("--csv" in argv or argv[0] == "analyze")
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

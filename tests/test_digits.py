@@ -17,7 +17,6 @@ from benford_radix.digits import (
     leading_digit_decimal_string,
     leading_digit_fraction,
     leading_digit_int,
-    numeral_digits,
 )
 
 from oracles import expansion_by_division, leading_digit_by_fraction_scaling
@@ -190,6 +189,8 @@ class TestLeadingDigitDecimalString:
 
 
 class TestNumeralDigits:
+    """Numerals of the grammar, each read by `leading_digit_decimal_string`."""
+
     @pytest.mark.parametrize("limit", [None, 640])
     @settings(max_examples=40, deadline=None)
     @given(
@@ -200,19 +201,13 @@ class TestNumeralDigits:
         # 640 digits sends numerals of more digits through the Decimal route
         expected = [fraction_digit(digits, k, base) for _, digits, k in cases]
         with int_str_digits(limit):
-            streamed = list(numeral_digits([text for text, _, _ in cases], base))
             for (text, _, _), want in zip(cases, expected):
                 if want is None:
                     with pytest.raises(NoSignificantDigit):
                         leading_digit_decimal_string(text, base)
                 else:
-                    assert leading_digit_decimal_string(text, base) == want
-        assert streamed == [d for d in expected if d is not None]
-        assert all(type(d) is int for d in streamed)
-
-    def test_base_is_checked_before_any_numeral(self):
-        with pytest.raises(FiniteBaseRequired):
-            next(numeral_digits(iter(()), INFINITE))
+                    got = leading_digit_decimal_string(text, base)
+                    assert got == want and type(got) is int
 
 
 class TestPowerTable:

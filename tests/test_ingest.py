@@ -1,5 +1,5 @@
+import contextlib
 import csv
-import importlib
 import io
 import re
 import tracemalloc
@@ -8,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benford_radix.digits import is_decimal_numeral, numeral_digits
-from benford_radix.ingest import DatasetSource, IngestError, IngestStats, ingest, scan
+from benford_radix import ingest
+from benford_radix.digits import (NUMERAL, NoSignificantDigit, NumeralParseError,
+                                  leading_digit_decimal_string, leading_digit_fraction)
+from benford_radix.ingest import DatasetSource, IngestError, IngestStats, scan
 from benford_radix.stats import tally
 
-# the package's name `ingest` is the function
-ingest_module = importlib.import_module("benford_radix.ingest")
 
-
-def run_ingest(source, text):
+def scanned(source, text, base=10):
+    """(counts, stats) of `scan` over ``text`` encoded as UTF-8."""
     stats = IngestStats()
-    tokens = list(ingest(source, io.StringIO(text), stats))
-    return tokens, stats
+    return scan(source, io.BytesIO(text.encode()), base, stats), stats
+
+
+def counts_of(digits, base=10):
+    return tally(digits, base).counts
 
 
 class TestDatasetSource:
@@ -42,98 +45,113 @@ class TestDatasetSource:
 
 class TestPlainLines:
     def test_passthrough(self):
-        tokens, stats = run_ingest(DatasetSource(format="lines"), "16\n32\n64\n")
-        assert tokens == ["16", "32", "64"]
-        assert stats.records == 3 and not stats.warnings()
+        counts, stats = scanned(DatasetSource(format="lines"), "16\n32\n64\n")
+        assert counts == counts_of([1, 3, 6])
+        assert stats == IngestStats(3) and not stats.warnings()
 
     def test_non_numeric_skipped_with_count(self):
-        tokens, stats = run_ingest(DatasetSource(format="lines"), "16\nn/a\n64\n")
-        assert tokens == ["16", "64"]
-        assert stats.skipped_non_numeric == 1
+        counts, stats = scanned(DatasetSource(format="lines"), "16\nn/a\n64\n")
+        assert counts == counts_of([1, 6])
+        assert stats == IngestStats(2, skipped_non_numeric=1)
         assert "1 non-numeric" in stats.warnings()[0]
 
     def test_blank_lines_counted(self):
-        tokens, stats = run_ingest(DatasetSource(format="lines"), "\n\n12\n  \n")
-        assert tokens == ["12"]
-        assert stats.skipped_blank == 3
+        counts, stats = scanned(DatasetSource(format="lines"), "\n\n12\n  \n")
+        assert counts == counts_of([1])
+        assert stats == IngestStats(1, skipped_blank=3)
 
     def test_exponents_within_the_bound_are_numerals(self):
         text = "1.5e3\n2E-4\n+0.0e+7\n7e0009999\n"
-        tokens, stats = run_ingest(DatasetSource(format="lines"), text)
-        assert tokens == ["1.5e3", "2E-4", "+0.0e+7", "7e0009999"]
-        assert stats.records == 4 and not stats.warnings()
+        counts, stats = scanned(DatasetSource(format="lines"), text)
+        assert counts == counts_of([1, 2, 7])  # and one zero
+        assert stats == IngestStats(4) and not stats.warnings()
 
     def test_exponent_beyond_the_bound_has_its_own_count(self):
         text = "1e10000\n-2.5E-123456\n3e\ne5\n8\n"
-        tokens, stats = run_ingest(DatasetSource(format="lines"), text)
-        assert tokens == ["8"]
-        assert stats.skipped_exponent == 2 and stats.skipped_non_numeric == 2
+        counts, stats = scanned(DatasetSource(format="lines"), text)
+        assert counts == counts_of([8])
+        assert stats == IngestStats(1, skipped_non_numeric=2, skipped_exponent=2)
         assert stats.warnings() == [
             "skipped 2 non-numeric token(s)",
             "skipped 2 numeral(s) with |exponent| > 9999",
         ]
 
     def test_numerals_kept_verbatim(self):
-        tokens, _ = run_ingest(
-            DatasetSource(format="lines"), "0012.500\n-0.00312\n+7\n.5\n"
-        )
-        assert tokens == ["0012.500", "-0.00312", "+7", ".5"]
+        # read as the exact values 25/2, 312/10**5, 7 and 1/2, in any base
+        text = "0012.500\n-0.00312\n+7\n.5\n"
+        for base in (10, 7):
+            want = [leading_digit_fraction(p, q, base)
+                    for p, q in ((25, 2), (312, 10**5), (7, 1), (1, 2))]
+            counts, stats = scanned(DatasetSource(format="lines"), text, base)
+            assert counts == counts_of(want, base) and stats == IngestStats(4)
 
 
 class TestCsv:
     def test_named_column(self):
         src = DatasetSource(format="csv", column="area")
-        tokens, stats = run_ingest(src, "name,area\nvolga,335\n")
-        assert tokens == ["335"]
-        assert stats.records == 1
+        counts, stats = scanned(src, "name,area\nvolga,335\n")
+        assert counts == counts_of([3])
+        assert stats == IngestStats(1)
 
     def test_indexed_column(self):
         src = DatasetSource(format="csv", column=1)
-        tokens, _ = run_ingest(src, "volga,335\ndanube,817\n")
-        assert tokens == ["335", "817"]
+        counts, stats = scanned(src, "volga,335\ndanube,817\n")
+        assert counts == counts_of([3, 8]) and stats == IngestStats(2)
 
     def test_indexed_column_with_header_skip(self):
         src = DatasetSource(format="csv", column=1, skip_header=True)
-        tokens, _ = run_ingest(src, "name,area\nvolga,335\n")
-        assert tokens == ["335"]
+        counts, stats = scanned(src, "name,area\nvolga,335\n")
+        assert counts == counts_of([3]) and stats == IngestStats(1)
 
     def test_digit_string_selector_means_index(self):
         src = DatasetSource(format="csv", column="1")
-        tokens, _ = run_ingest(src, "volga,335\n")
-        assert tokens == ["335"]
+        counts, stats = scanned(src, "volga,335\n")
+        assert counts == counts_of([3]) and stats == IngestStats(1)
 
     def test_missing_named_column(self):
         src = DatasetSource(format="csv", column="weight")
         with pytest.raises(IngestError, match="weight"):
-            run_ingest(src, "name,area\nvolga,335\n")
+            scanned(src, "name,area\nvolga,335\n")
 
     def test_short_row_reports_line_number(self):
         src = DatasetSource(format="csv", column=2)
         with pytest.raises(IngestError, match="line 2"):
-            run_ingest(src, "a,b,c\nx,y\n")
+            scanned(src, "a,b,c\nx,y\n")
 
     def test_blank_and_dirty_cells_counted(self):
         src = DatasetSource(format="csv", column="v")
-        tokens, stats = run_ingest(src, "v\n42\n\n \noops\n3.14\n")
-        assert tokens == ["42", "3.14"]
-        assert stats.skipped_blank == 2
-        assert stats.skipped_non_numeric == 1
+        counts, stats = scanned(src, "v\n42\n\n \noops\n3.14\n")
+        assert counts == counts_of([4, 3])
+        assert stats == IngestStats(2, skipped_blank=2, skipped_non_numeric=1)
 
     def test_oversized_field_reports_line_number(self):
         src = DatasetSource(format="csv", column=0)
         big = "1" * (csv.field_size_limit() + 1)
         with pytest.raises(IngestError, match="line 2"):
-            run_ingest(src, f"5\n{big}\n")
+            scanned(src, f"5\n{big}\n")
 
     def test_negative_index_rejected(self):
         src = DatasetSource(format="csv", column=-1)
         with pytest.raises(IngestError):
-            run_ingest(src, "a,b\n")
+            scanned(src, "a,b\n")
 
     def test_empty_csv_with_named_column(self):
         src = DatasetSource(format="csv", column="area")
-        tokens, stats = run_ingest(src, "")
-        assert tokens == [] and stats.records == 0
+        counts, stats = scanned(src, "")
+        assert counts == counts_of([]) and stats == IngestStats()
+
+
+@pytest.mark.parametrize("source, data, error", [
+    (DatasetSource("lines"), b"12\n", None),
+    (DatasetSource("lines"), b"12\n\xff\n", UnicodeDecodeError),
+    (DatasetSource("csv", "v"), b"v\n12\n", None),
+    (DatasetSource("csv", 1), b"a,b\n12\n", IngestError),
+], ids=["lines", "lines-undecodable", "csv", "csv-short-row"])
+def test_scan_leaves_the_stream_open(source, data, error):
+    stream = io.BytesIO(data)
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        scan(source, stream, 10, IngestStats())
+    assert not stream.closed
 
 
 # The numeral grammar written without groups, as an independent reference:
@@ -208,21 +226,39 @@ def csv_files(draw):
     return _join(draw, rows)
 
 
-def _open(text, newline):
-    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig", newline=newline)
+# The grammar above with an exponent of any length: a record it accepts and
+# the grammar refuses is counted apart from the non-numeric ones.
+WIDE_NUMERAL = re.compile(OLD_NUMERAL.pattern.replace("0*[0-9]{1,4}", "[0-9]+"))
 
 
 def per_record(source, text, base):
-    """The per-record reference: ingest, then numeral_digits, then tally."""
-    stats = IngestStats()
-    hist = tally(numeral_digits(ingest(source, _open(text, ""), stats), base), base)
-    return hist.counts, stats
-
-
-def scanned(source, text, base):
-    stats = IngestStats()
-    fh = _open(text, None if source.format == "lines" else "")
-    return scan(source, fh, base, stats), stats
+    """The per-record reference: split ``text`` into records with universal
+    newlines or `csv.reader`, then read each with `leading_digit_decimal_string`."""
+    text = text.removeprefix("\ufeff")
+    if source.format == "lines":
+        records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if records[-1] == "":
+            records.pop()  # after the last line end
+    else:
+        rows = csv.reader(io.StringIO(text, newline=""))
+        index = next(rows).index(source.column)
+        records = [row[index] if row else "" for row in rows]
+    counts, stats = [0] * base, IngestStats()
+    for record in records:
+        try:
+            counts[leading_digit_decimal_string(record, base)] += 1
+        except NoSignificantDigit:
+            counts[0] += 1
+        except NumeralParseError:
+            stripped = record.strip()
+            if not stripped:
+                stats.skipped_blank += 1
+            elif WIDE_NUMERAL.fullmatch(stripped):
+                stats.skipped_exponent += 1
+            else:
+                stats.skipped_non_numeric += 1
+    stats.records = sum(counts)
+    return tuple(counts[1:]), stats
 
 
 BASES = st.sampled_from([2, 7, 10, 16, 64])
@@ -232,7 +268,7 @@ class TestScan:
     @settings(max_examples=300, deadline=None)
     @given(text=tokens())
     def test_grammar_is_unchanged(self, text):
-        assert is_decimal_numeral(text) == (OLD_NUMERAL.fullmatch(text) is not None)
+        assert (re.fullmatch(NUMERAL, text) is None) == (OLD_NUMERAL.fullmatch(text) is None)
 
     @settings(max_examples=150, deadline=None)
     @given(text=lines_files(), base=BASES, chunk=st.sampled_from([1, 2, 3, 5, 8, 8192]))
@@ -240,11 +276,11 @@ class TestScan:
         # chunks of a few characters split lines and \r\n pairs across reads
         source = DatasetSource(format="lines")
         want = per_record(source, text, base)
-        old, ingest_module._CHUNK = ingest_module._CHUNK, chunk
+        old, ingest._CHUNK = ingest._CHUNK, chunk
         try:
             got = scanned(source, text, base)
         finally:
-            ingest_module._CHUNK = old
+            ingest._CHUNK = old
         assert got == want
 
     @settings(max_examples=150, deadline=None)
@@ -272,8 +308,7 @@ class TestScan:
 
 
 def _peak_scan(source, path, base) -> int:
-    newline = None if source.format == "lines" else ""
-    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+    with open(path, "rb") as fh:
         tracemalloc.start()
         try:
             scan(source, fh, base, IngestStats())

@@ -14,7 +14,7 @@ from benford_radix.ingest import DatasetSource, IngestStats
 from benford_radix.model import BenfordPmf
 from benford_radix.report import ReportDocument
 from benford_radix.sequences import FastDigit, SequenceSpec
-from benford_radix.stats import DigitHistogram, FitReport, LeadingOneRow, MadThresholds
+from benford_radix.stats import DigitHistogram, FitReport, LeadingOneRow
 
 from test_cli import src_env
 
@@ -32,13 +32,6 @@ class TestLazyRoot:
             assert star[name] is value, name
             defined = [vars(m)[name] for m in HOMES if name in vars(m)]
             assert defined and all(v is value for v in defined), name
-
-    def test_ingest_stays_the_function(self):
-        # the submodule `ingest` is loaded by now, and must not shadow the function
-        from benford_radix import ingest
-
-        assert "benford_radix.ingest" in sys.modules
-        assert ingest is sys.modules["benford_radix.ingest"].ingest
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
@@ -59,7 +52,6 @@ class TestLazyRoot:
 RECORDS = [
     (BenfordPmf, (3, (0.6, 0.4)), {"base": 3, "probs": (0.6, 0.4)}),
     (FastDigit, (Digit(2, 10), False), {"digit": Digit(2, 10), "certain": False}),
-    (MadThresholds, (), {"close": 0.006, "acceptable": 0.012, "marginal": 0.015}),
     (FitReport, (1.5, 8, 0.9, 0.004, 0.01, "close"),
      {"statistic_chi2": 1.5, "degrees_of_freedom": 8, "p_value": 0.9, "mad": 0.004,
       "max_deviation": 0.01, "verdict": "close", "warnings": ()}),

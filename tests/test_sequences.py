@@ -286,8 +286,10 @@ class TestHistogramCounts:
         assert leading_digit_counts(spec, base) == want
         assert leading_digit_counts(spec, base, top=1) == want[:1]
 
-    @pytest.mark.parametrize("n", [199, 200, 201, 202])
+    @pytest.mark.parametrize("n", [199, 200, 201, 202, 1482, 1483])
     def test_fibonacci_around_the_exact_prefix(self, n):
+        # 200 terms are resolved exactly, and histograms below n = 2**500
+        # stream 1482 terms
         spec = SequenceSpec.fibonacci(n)
         for base in range(2, 65):
             assert leading_digit_counts(spec, base) == _exact_counts(spec, base), base
@@ -310,6 +312,17 @@ class TestHistogramCounts:
         before = leading_digit_counts(SequenceSpec.powers(a, n), base)
         after = leading_digit_counts(SequenceSpec.powers(a, n + 1), base)
         d = leading_digit_power(a, n, base)
+        assert [y - x for x, y in zip(before, after)] == [int(i == d) for i in range(1, base)]
+
+    @pytest.mark.parametrize("n", [2 ** 275, 2 ** 300], ids=["2**275", "2**300"])
+    @pytest.mark.parametrize("base", [10, 7])
+    def test_one_more_fibonacci_past_the_binet_wall(self, n, base):
+        # the streamed prefix keeps the Binet part of the bound under one
+        # unit up to 2048 bits, which certify these counts
+        before = leading_digit_counts(SequenceSpec.fibonacci(n), base)
+        after = leading_digit_counts(SequenceSpec.fibonacci(n + 1), base)
+        d = logdigits._resolve_fibonacci(n + 1, base)
+        assert sum(before) == n
         assert [y - x for x, y in zip(before, after)] == [int(i == d) for i in range(1, base)]
 
     def test_top_is_a_digit(self):
@@ -338,17 +351,19 @@ def _spy_on_counts(monkeypatch):
     return calls
 
 
+# Fibonacci histograms stream a prefix of 1482 terms below n = 2**500, so
+# 3000 terms leave 1518 to the floor sums
 BAND_SPECS = pytest.mark.parametrize(
-    "spec", [SequenceSpec.powers(3, 1000), SequenceSpec.fibonacci(1000)], ids=["pow3", "fib"]
+    "spec", [SequenceSpec.powers(3, 1000), SequenceSpec.fibonacci(3000)], ids=["pow3", "fib"]
 )
 
 
 class TestCountCertificate:
     @BAND_SPECS
     def test_band_hit_escalates(self, spec, monkeypatch):
-        # a bound of about 2**120 units makes each band 1/128 of the circle at
-        # 128 bits, which some of the ~900 counted terms fall in; at 256 bits
-        # the bands are 2**-128 times as wide
+        # a bound of 2**120 units or more makes each band at least 1/128 of
+        # the circle at 128 bits, which some of the ~900 or ~1500 counted terms
+        # fall in; at 256 bits the bands are 2**-128 times as wide
         calls = _spy_on_counts(monkeypatch)
         monkeypatch.setattr(logdigits, "_FP_CONST_ERR", 1 << 110)
         assert leading_digit_counts(spec, 10) == _exact_counts(spec, 10)

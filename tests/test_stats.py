@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -16,9 +17,9 @@ from benford_radix.sequences import (
 from benford_radix.stats import (
     DigitHistogram,
     EmptyHistogram,
-    MadThresholds,
     RadixMismatch,
     _chi_square_statistic,
+    _verdict,
     chi_square_fit,
     chi_square_p_value,
     chunked_tally,
@@ -259,12 +260,14 @@ class TestChiSquareFit:
             [counts[i] for i in perm], [probs[i] for i in perm]
         ) == pytest.approx(_chi_square_statistic(counts, probs), rel=1e-12)
 
-    def test_custom_thresholds_are_configuration(self):
-        observed = DigitHistogram(base=10, counts=TABLE1_COUNTS)
-        strict = MadThresholds(close=1e-6, acceptable=2e-6, marginal=3e-6)
-        assert chi_square_fit(observed, benford_pmf(10), strict).verdict == (
-            "nonconforming"
-        )
+    @pytest.mark.parametrize("cutoff, at, above", [
+        (0.006, "close", "acceptable"),
+        (0.012, "acceptable", "marginal"),
+        (0.015, "marginal", "nonconforming"),
+    ])
+    def test_verdict_cutoffs(self, cutoff, at, above):
+        assert _verdict(cutoff) == at
+        assert _verdict(math.nextafter(cutoff, 1.0)) == above
 
 
 class TestMadConvergence:

@@ -15,7 +15,6 @@ from .digits import check_base
 from .model import benford_pmf
 from .reference import BENFORD_1938_FIRST_DIGIT
 from .report import ReportDocument, json_base, render_csv, render_json, render_text
-from .stats import DigitHistogram, FitReport, chi_square_fit, leading_one_by_base
 
 _BASES_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
@@ -115,6 +114,8 @@ def _cmd_sequence(args) -> ReportDocument | None:
                 sys.set_int_max_str_digits(limit)
         return None
     if args.tally:
+        from .stats import DigitHistogram  # loaded only by the commands that count
+
         hist = DigitHistogram(base, leading_digit_counts(spec, base))
         return ReportDocument(
             mode="sequence", base=base, payload={"histogram": _histogram_payload(hist)}
@@ -124,6 +125,8 @@ def _cmd_sequence(args) -> ReportDocument | None:
 
 
 def _cmd_table2(args) -> ReportDocument:
+    from .stats import leading_one_by_base
+
     bases = _parse_bases(args.bases)
     rows = leading_one_by_base(bases, args.n, sequence_base=args.seq_base)
     payload_rows = [
@@ -145,6 +148,7 @@ def _cmd_table2(args) -> ReportDocument:
 
 def _cmd_analyze(args) -> ReportDocument:
     from .ingest import DatasetSource, IngestStats, scan  # only analyze reads datasets
+    from .stats import DigitHistogram, chi_square_fit
 
     base = check_base(args.base)
     source = DatasetSource(args.format, args.column, args.skip_header)

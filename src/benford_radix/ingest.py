@@ -2,24 +2,33 @@
 
 `scan` is the one reader. It decides how a dataset is opened: UTF-8 with an
 optional BOM, universal newlines for plain lines and csv's own newline
-handling for CSV. Numerals are read as strings; nothing is ever routed
-through binary floating point, so the digit statistics stay exact. Dirty
-records (blanks, non-numeric tokens, exponents past the grammar's bound) are
-skipped and counted, not fatal.
+handling for CSV. Either way records reach one regular-expression pass per
+chunk as "\\n"-terminated text: whole lines, or the selected CSV fields of a
+batch of rows joined by "\\n". Numerals are read as strings; nothing is ever
+routed through binary floating point, so the digit statistics stay exact.
+Dirty records (blanks, non-numeric tokens, exponents past the grammar's
+bound) are skipped and counted, not fatal.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import re
+from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
-from .digits import MAX_EXPONENT_DIGITS, NUMERAL, _numeral_digit, exponent_out_of_range
+from .digits import (MAX_EXPONENT_DIGITS, NUMERAL, _leading_digit, _numeral_digit,
+                     exponent_out_of_range)
 
 _CHUNK, _BATCH = 8192, 256  # characters of a lines file, rows of a CSV, read at a time
+#: Most integer digits, and most fraction digits, of a numeral that `scan`
+#: reads in a base other than 10 by its key x * 10**_K, an integer below
+#: 10**(2 * _K).
+_K = 32
+_THRESHOLDS: dict[int, tuple[list[int], list[int]]] = {}
 
 
 class IngestError(ValueError):
@@ -93,6 +102,8 @@ def _skip(text: str, stats: IngestStats, n: int = 1) -> None:
 def _fields(source: DatasetSource, lines: Iterable[str]) -> Iterator[list[str]]:
     """The selected fields of the CSV rows of ``lines``, _BATCH rows at a
     time; "" for an empty row."""
+    import csv  # loaded only by the datasets that use it
+
     reader = rows = csv.reader(lines)
     column = source.column
     try:
@@ -126,6 +137,53 @@ def _fields(source: DatasetSource, lines: Iterable[str]) -> Iterator[list[str]]:
         raise IngestError(f"CSV error at line {reader.line_num}: {exc}") from None
 
 
+def _threshold_table(b: int) -> tuple[list[int], list[int]]:
+    """(thresholds, digit_at) of base b, built on first use.
+
+    The thresholds are the integers ceil(d * b**e * 10**_K), d = 1..b-1, in
+    ascending order, one row of them for each integer e from the largest
+    with b**e <= 10**-_K to the first row that reaches 2**256; digit_at[i]
+    is the d of thresholds[i - 1], and digit_at[0] = 0. An integer N is
+    >= ceil(v) exactly when N >= v, so the bisect_right(thresholds, N)
+    thresholds <= N end at the largest d * b**e <= N / 10**_K, whose d is
+    the first digit of N / 10**_K for 0 < N < thresholds[-1]; N = 0 gets 0.
+    """
+    if (table := _THRESHOLDS.get(b)) is None:
+        num, den, thresholds = 10**_K, 1, []  # b**e * 10**_K = num / den
+        while den < num:
+            den *= b
+        while not thresholds or thresholds[-1] < 1 << 256:
+            thresholds += (-(-d * num // den) for d in range(1, b))
+            num, den = (num, den // b) if den > 1 else (num * b, 1)
+        digit_at = [0] + [*range(1, b)] * (len(thresholds) // (b - 1))
+        table = _THRESHOLDS[b] = thresholds, digit_at
+    return table
+
+
+def _count_keys(b: int, keys: list[int], counts: list[int]) -> None:
+    """Add to counts[d], for each key N >= 0, one for the first digit d in
+    base b of N / 10**_K (0 for N = 0): the keys are counted in C by their
+    place in `_threshold_table`, and a key past its top by `_leading_digit`."""
+    thresholds, digit_at = _threshold_table(b)
+    seen = Counter(map(partial(bisect_right, thresholds), keys))
+    if seen.pop(len(thresholds), 0):
+        for n in keys:
+            if n >= thresholds[-1]:
+                counts[_leading_digit(n, 10**_K, b)] += 1
+    for i, n in seen.items():
+        counts[digit_at[i]] += n
+
+
+def _joined(batch: list[str]) -> str:
+    """The fields of ``batch`` as one "\\n"-terminated record each. A newline
+    inside a field becomes a space: either is whitespace inside a record,
+    which no numeral holds, or at its ends, which strip removes."""
+    text = "\n".join(batch) + "\n"
+    if text.count("\n") != len(batch):
+        text = "\n".join([field.replace("\n", " ") for field in batch]) + "\n"
+    return text
+
+
 def _lines(fh: TextIO) -> Iterator[str]:
     """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n"."""
     parts = []
@@ -143,41 +201,56 @@ def scan(
     source: DatasetSource, stream: BinaryIO, base: int, stats: IngestStats
 ) -> tuple[int, ...]:
     """Counts of the first digits 1..base-1 of the usable records of the
-    byte ``stream``, with ``stats`` filled in. Each record is parsed once: the
-    match that validates it gives its digit. Lines are matched by one
-    ``findall`` per chunk, CSV fields by one ``fullmatch``. ``stream`` is
-    left open. Structural problems raise IngestError with the offending
-    line number, and undecodable bytes UnicodeDecodeError."""
+    byte ``stream``, with ``stats`` filled in. Every record is parsed once,
+    by one ``findall`` per chunk of "\\n"-terminated records: whole lines,
+    or the selected CSV fields of _BATCH rows joined by "\\n". In base 10
+    the match captures the first significant digit, and the pairs are
+    counted in C. In any other base it captures `NUMERAL`'s groups for a
+    numeral of at most _K integer and _K fraction digits: without an
+    exponent they give the integer key x * 10**_K, which `_count_keys`
+    places in its base's threshold table, and with one `_numeral_digit`
+    reads them. Any other record is matched by `NUMERAL` alone, and read by
+    `_numeral_digit` or skipped and counted. ``stream`` is left open.
+    Structural problems raise IngestError with the offending line number,
+    and undecodable bytes UnicodeDecodeError."""
     counts = [0] * base  # counts[0]: zeros
-    ten = base == 10  # then one group: the first nonzero digit, if any
-    numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[") if ten else NUMERAL
+    ten = base == 10
+    if ten:  # one group: the first nonzero digit, if any
+        numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[")
+    else:  # `NUMERAL`'s three, of at most _K integer and _K fraction digits
+        numeral = NUMERAL.replace("([0-9]*)", f"([0-9]{{0,{_K}}})")
+    # [^\S\n] is str.strip's whitespace but for the newline ending a record
+    findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
+    match = re.compile(NUMERAL).fullmatch
+    scale = [10 ** (_K - j) for j in range(_K + 1)]
+
+    def read(raw: str, n: int) -> None:  # n copies of a record the fast form refused
+        if m := match(raw := raw.strip()):
+            counts[_numeral_digit(base, *m.groups(""))] += n
+        else:
+            _skip(raw, stats, n)
+
     # universal newlines for lines, csv's own for csv
     fh = io.TextIOWrapper(stream, encoding="utf-8-sig",
                           newline=None if source.format == "lines" else "")
     try:
-        if source.format == "lines":
-            # [^\S\n] is str.strip's whitespace but for the newline ending a line
-            findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
-            for text in _lines(fh):
-                if ten:  # few distinct (digit, raw) pairs: count them in C first
-                    for (d, raw), n in Counter(findall(text)).items():
-                        if raw:
-                            _skip(raw.strip(), stats, n)
-                        else:
-                            counts[int(d or 0)] += n
-                else:
-                    for whole, frac, exponent, raw in findall(text):
-                        if raw:
-                            _skip(raw.strip(), stats)
-                        else:
-                            counts[_numeral_digit(base, whole, frac, exponent)] += 1
-        else:
-            match = re.compile(rf"\s*{numeral}\s*").fullmatch
-            for field in chain.from_iterable(_fields(source, fh)):
-                if m := match(field):
-                    counts[int(m[1] or 0) if ten else _numeral_digit(base, *m.groups(""))] += 1
-                else:
-                    _skip(field.strip(), stats)
+        for text in _lines(fh) if source.format == "lines" else map(_joined, _fields(source, fh)):
+            if ten:  # few distinct (digit, raw) pairs: count them in C first
+                for (d, raw), n in Counter(findall(text)).items():
+                    if raw:
+                        read(raw, n)
+                    else:
+                        counts[int(d or 0)] += n
+            else:
+                matches = findall(text)
+                _count_keys(base, [int(whole + frac) * scale[len(frac)]
+                                   for whole, frac, exponent, raw in matches
+                                   if not (exponent or raw)], counts)
+                for whole, frac, exponent, raw in matches:
+                    if exponent:
+                        counts[_numeral_digit(base, whole, frac, exponent)] += 1
+                    elif raw:
+                        read(raw, 1)
     finally:
         fh.detach()  # the wrapper would close ``stream`` when collected
     stats.records += sum(counts)

@@ -289,23 +289,28 @@ def stream_counts(digits: Iterable[int], top: int) -> tuple[int, ...]:
 
 
 def _line_counts(
-    at: _Line, prefix: Iterable[int], lo: int, hi: int, base: int, top: int, what: str
+    at: _Line, prefix: Callable[[int], Iterable[int]], head: Callable[[int], int],
+    first: int, n: int, base: int, top: int, what: str,
 ) -> tuple[int, ...]:
-    """Counts of the digits 1..top in ``base``: those of the ``prefix``
-    digits plus those of the terms lo..hi-1 on the line ``at``, counted by
-    `_linear_counts` at the first precision from 128 bits on that
-    certifies them (`_escalate`)."""
+    """Counts of the digits 1..top in ``base`` of the n terms first ..
+    first+n-1 on the line ``at``. At the first precision from 128 bits on
+    that certifies them (`_escalate`), the terms past the first h =
+    min(n, head(bits)) are counted by `_linear_counts`; the digits of those
+    h come from the stream prefix(h), read once, for the h that is used."""
     def count(bits):
+        h = min(n, head(bits))
+        lo, hi = first + h, first + n
         s, step, err = at(bits, lo, hi)
         if hi > lo and 2 * err + 1 >= 1 << bits:  # refused before a boundary is read
             return _linear_counts(hi - lo, s, step, err, (), bits)
         # past the 128-bit table, which `_certifier` shares, only t_1 .. t_(top+1)
         bounds = _digit_boundaries(base, bits, 0 if bits == LOG_FRACTIONAL_BITS else top)
-        return _linear_counts(hi - lo, s, step, err, bounds[:top + 1], bits)
+        rest = _linear_counts(hi - lo, s, step, err, bounds[:top + 1], bits)
+        return rest and (h, rest)
 
-    rest = _escalate(LOG_FRACTIONAL_BITS, hi - 1, count,
-                     f"leading digit histogram of {what} in base {base}")
-    return tuple(c + r for c, r in zip(stream_counts(prefix, top), rest))
+    h, rest = _escalate(LOG_FRACTIONAL_BITS, first + n - 1, count,
+                        f"leading digit histogram of {what} in base {base}")
+    return tuple(c + r for c, r in zip(stream_counts(prefix(h), top), rest))
 
 
 def _power_line(a: int, b: int) -> _Line:
@@ -340,9 +345,9 @@ def power_counts(a: int, n: int, b: int, top: int) -> tuple[int, ...]:
     if digits:
         q, r = divmod(n, len(digits))
         return tuple(q * digits.count(d) + digits[:r].count(d) for d in range(1, top + 1))
-    head = min(n, _POWER_EXACT_PREFIX)
     return _line_counts(
-        _power_line(a, b), power_digits(a, head, b), head, n, b, top,
+        _power_line(a, b), lambda h: power_digits(a, h, b), lambda bits: _POWER_EXACT_PREFIX,
+        0, n, b, top,
         f"a**0 .. a**(n-1) for a {a.bit_length()}-bit a and a {n.bit_length()}-bit n",
     )
 
@@ -409,13 +414,14 @@ def fibonacci_digits(n: int, b: int) -> Iterator[int]:
 
 def fibonacci_counts(n: int, b: int, top: int) -> tuple[int, ...]:
     """Counts of the leading digits 1..top of F_1 .. F_n in base b: a prefix
-    from the stream and the rest by floor sums. The prefix is long enough
-    that the Binet part of the bound, 2**(bits + 2 - 1.388m) units at its
-    first counted term m, is one unit at every precision `_escalate` tries."""
-    bits = _ceiling(LOG_FRACTIONAL_BITS, n)
-    head = min(n, max(_FIB_EXACT_PREFIX, (bits + 8) * 1000 // 1388 + 1))
-    return _line_counts(_fibonacci_line(b), fibonacci_digits(head, b), head + 1, n + 1, b,
-                        top, f"F_1 .. F_n for a {n.bit_length()}-bit n")
+    from the stream and the rest by floor sums. At each precision the prefix
+    is long enough that the Binet part of the bound, 2**(bits + 2 - 1.388m)
+    units at its first counted term m, is one unit."""
+    return _line_counts(
+        _fibonacci_line(b), lambda h: fibonacci_digits(h, b),
+        lambda bits: max(_FIB_EXACT_PREFIX, (bits + 8) * 1000 // 1388 + 1),
+        1, n, b, top, f"F_1 .. F_n for a {n.bit_length()}-bit n",
+    )
 
 
 def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:

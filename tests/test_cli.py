@@ -575,6 +575,8 @@ class TestCliContract:
         ["sequence", "--kind", "fact", "-n", "100", "--tally"],
         ["analyze", "{path}"],
         ["analyze", "{path}", "--base", "7"],
+        ["analyze", "{path}", "--csv"],
+        ["analyze", "{path}", "--format", "csv", "--column", "0", "--base", "7"],
         ["table1", "--csv"],
         ["table2", "-n", "100", "--json"],
         ["sequence", "--kind", "pow2", "-n", "20"],
@@ -599,9 +601,12 @@ class TestCliContract:
         else:
             assert not engine & modules
         assert ("benford_radix.ingest" in modules) == (argv[0] == "analyze")
-        # a document format's module loads only for that format (csv also for analyze)
+        counts = argv[0] in ("table2", "analyze") or "--tally" in argv
+        assert ("benford_radix.stats" in modules) == counts
+        # a format's module loads only for that format, of the document or the dataset
         assert ("json" in modules) == ("--json" in argv)
-        assert ("csv" in modules) == ("--csv" in argv or argv[0] == "analyze")
+        dataset = argv[argv.index("--format") + 1] if "--format" in argv else "lines"
+        assert ("csv" in modules) == ("--csv" in argv or dataset == "csv")
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

@@ -3,15 +3,17 @@ import csv
 import io
 import re
 import tracemalloc
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford_radix import ingest
-from benford_radix.digits import (NUMERAL, NoSignificantDigit, NumeralParseError,
+from benford_radix.digits import (NUMERAL, NoSignificantDigit, NumeralParseError, _leading_digit,
                                   leading_digit_decimal_string, leading_digit_fraction)
-from benford_radix.ingest import DatasetSource, IngestError, IngestStats, scan
+from benford_radix.ingest import _K, DatasetSource, IngestError, IngestStats, scan
 from benford_radix.stats import tally
 
 
@@ -264,6 +266,40 @@ def per_record(source, text, base):
 BASES = st.sampled_from([2, 7, 10, 16, 64])
 
 
+FIELD_BREAKS = ["\n", "\r", "\r\n", "\x85", "\u2028", " "]
+
+
+@st.composite
+def csv_files_with_line_ends(draw):
+    """A CSV whose quoted value fields hold a line end or other whitespace
+    anywhere: before, inside or after the token."""
+    rows = ["id,value"]
+    for i in range(draw(st.integers(0, 12))):
+        record = draw(records())
+        cut = draw(st.integers(0, len(record)))
+        record = record[:cut] + draw(st.sampled_from(FIELD_BREAKS)) + record[cut:]
+        rows.append(f'{i},"{record.replace(chr(34), chr(34) * 2)}"')
+    return _join(draw, rows)
+
+
+def _key_edges():
+    """Numerals of 0, 1, _K and _K + 1 integer and fraction digits, with and
+    without an exponent: the keys' reach, and the records just past it."""
+    body = "3141592653589793238462643383279502884197"
+    assert len(body) > _K + 1
+    for whole in (0, 1, _K, _K + 1):
+        for frac in (None, 0, 1, _K, _K + 1):
+            if whole or frac:
+                text = body[:whole] + ("" if frac is None else "." + body[len(body) - frac:])
+                for exponent in ("", "e7", "E-40"):
+                    yield text + exponent
+    yield from ("0." + "0" * (_K - 1) + "1", "0." + "0" * _K + "1", "0" * (_K + 1) + ".5",
+                "-" + "9" * _K + "." + "9" * _K, "9" * _K + "." + "9" * (_K + 1), "0" * _K)
+
+
+KEY_EDGES = list(_key_edges())
+
+
 class TestScan:
     @settings(max_examples=300, deadline=None)
     @given(text=tokens())
@@ -289,6 +325,30 @@ class TestScan:
         source = DatasetSource(format="csv", column="value")
         assert scanned(source, text, base) == per_record(source, text, base)
 
+    @settings(max_examples=150, deadline=None)
+    @given(text=csv_files_with_line_ends(), base=BASES, batch=st.sampled_from([1, 2, 3]))
+    def test_csv_fields_holding_line_ends(self, text, base, batch):
+        # the selected fields of a batch are joined by "\n"; one holding "\n"
+        # makes the batch be joined again with that "\n" read as a space
+        source = DatasetSource(format="csv", column="value")
+        want = per_record(source, text, base)
+        old, ingest._BATCH = ingest._BATCH, batch
+        try:
+            got = scanned(source, text, base)
+        finally:
+            ingest._BATCH = old
+        assert got == want
+
+    @pytest.mark.parametrize("fmt", ["lines", "csv"])
+    def test_key_edges_equal_the_per_record_path(self, fmt):
+        # past _K digits or with an exponent, a numeral is read by the exact route
+        if fmt == "lines":
+            source, text = DatasetSource(format="lines"), "\n".join(KEY_EDGES)
+        else:
+            source, text = DatasetSource(format="csv", column="v"), "\n".join(["v", *KEY_EDGES])
+        for base in range(2, 65):
+            assert scanned(source, text, base) == per_record(source, text, base), base
+
     @pytest.mark.parametrize("text, counts, stats", [
         ("5\r\n\r6\r 7 \n", (0, 0, 0, 0, 1, 1, 1, 0, 0), (3, 1, 0, 0)),
         ("\ufeff1\x0b\n\x852\u2028\n3\x0b4", (1, 1, 0) + (0,) * 6, (2, 0, 1, 0)),
@@ -307,6 +367,30 @@ class TestScan:
             scanned(source, '1,2\n"a\nb",3\n7\n', 10)
 
 
+class TestThresholdTable:
+    @pytest.mark.parametrize("base", range(2, 65))
+    def test_keys_match_the_exact_route(self, base):
+        # keys N = t - 1, t, t + 1 at every threshold t, placed by the table
+        # and counted by `_count_keys`, against `_leading_digit` of
+        # N / 10**_K; past the top, the last threshold of the first row of
+        # powers to reach 2**256, keys are read one by one
+        thresholds, digit_at = ingest._threshold_table(base)
+        assert thresholds == sorted(thresholds) and len(digit_at) == len(thresholds) + 1
+        assert thresholds[0] == 1 and thresholds[-base] < 2**256 <= thresholds[-1]
+
+        def exact(n):
+            return _leading_digit(n, 10**_K, base) if n else 0
+
+        top = thresholds[-1]
+        inside = sorted({n for t in thresholds for n in (t - 1, t, t + 1) if n < top})
+        assert [digit_at[bisect_right(thresholds, n)] for n in inside] == list(map(exact, inside))
+        past = [top, top + 1, 2**300 + 1, 10**100] + [top * d for d in range(2, base + 1)]
+        counts = [0] * base
+        ingest._count_keys(base, inside + past, counts)
+        want = Counter(map(exact, inside + past))
+        assert counts == [want[d] for d in range(base)]
+
+
 def _peak_scan(source, path, base) -> int:
     with open(path, "rb") as fh:
         tracemalloc.start()
@@ -317,11 +401,14 @@ def _peak_scan(source, path, base) -> int:
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fmt, base", [("lines", 10), ("csv", 10)])
+@pytest.mark.parametrize("fmt, base", [("lines", 10), ("csv", 10), ("lines", 7), ("csv", 7)])
 def test_scan_memory_is_flat_in_the_input_size(fmt, base, tmp_path):
     source = DatasetSource(format=fmt, column="v" if fmt == "csv" else None)
     peaks = []
-    for n in (20_000, 200_000):
+    # tracemalloc traces every allocation, and a record read in base 7 makes
+    # several times as many as in base 10; 90k more records still put any
+    # object kept per record past the bound
+    for n in (20_000, 200_000) if base == 10 else (10_000, 100_000):
         path = tmp_path / f"{n}.{fmt}"
         values = (f"{i * 7919 % 100_003}.{i % 997}e-{i % 7}" if i % 50 else "n/a"
                   for i in range(n))

@@ -101,6 +101,8 @@ def _cmd_sequence(args) -> ReportDocument | None:
     base = check_base(args.base)
     spec = _parse_kind(args.kind, args.n)
     if args.emit_values:
+        if args.json or args.csv:
+            raise ValueError("--emit-values prints raw values; it takes no --json or --csv")
         # terms outgrow the int-to-str digit limit (0: none): lift it meanwhile
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         try:

@@ -5,10 +5,8 @@ floating point in any reported digit, because these functions serve as the
 correctness reference for the faster logarithmic paths elsewhere in the
 package. (A float only guesses where to start an exact search.)
 
-Decimal numerals have one grammar, `NUMERAL`, and one digit engine,
-`_numeral_digit`, which reads the digit from the grammar's groups: in base 10
-the first significant character, and in any other base the exact rational
-p/10**k, placed by integer comparisons.
+Decimal numerals are read by `ingest`, which holds their grammar and their
+digit engine; `leading_digit_decimal_string` loads it on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from bisect import bisect_right
 
 MIN_BASE = 2
 MAX_BASE = 64
@@ -24,24 +21,6 @@ MAX_BASE = 64
 #: Symbolic marker for the degenerate "every number is its own symbol" system.
 #: Only table rendering accepts it; every digit-extraction routine rejects it.
 INFINITE = float("inf")
-
-#: Significant digits an exponent may have (|e| <= 9999): that is past any
-#: measured quantity, while 10**(10**6) would cost seconds per record.
-MAX_EXPONENT_DIGITS = 4
-
-_EXPONENT = rf"0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}}"
-#: The package's numeral grammar: an optional sign, then digits with at most
-#: one point (``-12``, ``0.5``, ``.5``, ``3.``), then optionally an exponent
-#: of at most MAX_EXPONENT_DIGITS significant digits (``1.5e3``, ``2E-4``).
-#: Its groups are the integer digits, the fraction digits and the exponent;
-#: each opens with "([", so ``NUMERAL.replace("([", "(?:[")`` is the same
-#: grammar without groups.
-NUMERAL = rf"[+-]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?{_EXPONENT}))?"
-
-_FIRST_DIGIT = {str(d): d for d in range(1, 10)}
-_TENS = tuple(10**k for k in range(32))
-_POWERS: dict[int, list[int]] = {}
-
 
 class NoSignificantDigit(ValueError):
     """The value is zero and therefore has no significant digit."""
@@ -116,20 +95,11 @@ def _leading_digit(p: int, q: int, b: int) -> int:
     # If p >= q the digit is that of the integer part n = p // q. Otherwise
     # n = (q-1) // p = ceil(q/p) - 1 >= 1, and the value times w * b, the
     # smallest power of b >= ceil(q/p), lies in [1, b). Either way w is the
-    # largest power of b <= n: one bisection of b**0 .. (first power of b
-    # >= 2**256), built on first use. Past it, as b**e <= 2**(bits-1) <= n for
-    # e <= (bits-1) / log2(b), that less one (for the float's rounding) is a
-    # lower bound on e, and at most three exact steps remain.
-    if (table := _POWERS.get(b)) is None:
-        table = _POWERS[b] = [1]
-        while table[-1] < 1 << 256:
-            table.append(table[-1] * b)
-    if p >= q:
-        if (n := p // q) < table[-1]:
-            return n // table[bisect_right(table, n) - 1]
-    elif (n := (q - 1) // p) < table[-1]:
-        return p * table[bisect_right(table, n)] // q
-    w = b ** (int((n.bit_length() - 1) / math.log2(b)) - 1)
+    # largest power of b <= n. As b**e <= 2**(bits-1) <= n for
+    # e <= (bits-1) / log2(b), that less one (for the float's rounding), but
+    # at least 0, is a lower bound on e, and at most three exact steps remain.
+    n = p // q if p >= q else (q - 1) // p
+    w = b ** max(int((n.bit_length() - 1) / math.log2(b)) - 1, 0)
     while w * b <= n:
         w *= b
     return n // w if p >= q else p * w * b // q
@@ -153,39 +123,15 @@ def leading_digit_fraction(numerator, denominator, base) -> Digit:
     return Digit(_leading_digit(_checked_magnitude(numerator), q, b), b)
 
 
-def exponent_out_of_range(text: str) -> bool:
-    """Whether ``text``, which `NUMERAL` refused, is a numeral but for an
-    exponent past the grammar's bound."""
-    return re.fullmatch(NUMERAL.replace(_EXPONENT, "[0-9]+"), text) is not None
-
-
-def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
-    """First significant digit in base b, or 0 for zero, of the numeral with
-    `NUMERAL` groups ``whole``, ``frac``, ``exponent`` ("" when absent): in
-    base 10 the first nonzero digit, else that of p/10**k, k the fraction
-    digits less the exponent (through `Decimal` past int()'s length limit)."""
-    if b == 10:
-        return _FIRST_DIGIT.get((whole.lstrip("0") or frac.lstrip("0"))[:1], 0)
-    try:
-        p = int(whole + frac)
-        k = len(frac) - int(exponent) if exponent else len(frac)
-    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
-        from decimal import Decimal
-        p, q = Decimal(f"{whole}.{frac}e{exponent or 0}").as_integer_ratio()
-    else:
-        if k >= 0:
-            q = _TENS[k] if k < len(_TENS) else 10**k
-        else:
-            p, q = p * 10**-k, 1
-    return _leading_digit(p, q, b) if p else 0
-
-
 def leading_digit_decimal_string(s: str, base=10) -> int:
     """First significant digit of a decimal numeral string, read in ``base``.
 
-    Returns a plain int. The stripped string must match `NUMERAL`; the digit
-    comes from `_numeral_digit`, and zero raises NoSignificantDigit.
+    Returns a plain int. The stripped string must match `ingest.NUMERAL`;
+    the digit comes from `ingest._numeral_digit`, and zero raises
+    NoSignificantDigit.
     """
+    from .ingest import NUMERAL, _numeral_digit  # the numeral reader, loaded on first use
+
     m = re.fullmatch(NUMERAL, s.strip())
     if m is None:
         raise NumeralParseError(f"not a decimal numeral: {s!r}")

@@ -8,6 +8,10 @@ batch of rows joined by "\\n". Numerals are read as strings; nothing is ever
 routed through binary floating point, so the digit statistics stay exact.
 Dirty records (blanks, non-numeric tokens, exponents past the grammar's
 bound) are skipped and counted, not fatal.
+
+This is the package's one numeral reader: `NUMERAL` is its grammar,
+`_numeral_digit` its digit engine and `_threshold_table` its one per-base
+table, which places a numeral alone or in a chunk's batch of keys alike.
 """
 
 from __future__ import annotations
@@ -20,15 +24,30 @@ from functools import partial
 from itertools import chain, islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
-from .digits import (MAX_EXPONENT_DIGITS, NUMERAL, _leading_digit, _numeral_digit,
-                     exponent_out_of_range)
+from .digits import _leading_digit
 
 _CHUNK, _BATCH = 8192, 256  # characters of a lines file, rows of a CSV, read at a time
 #: Most integer digits, and most fraction digits, of a numeral that `scan`
 #: reads in a base other than 10 by its key x * 10**_K, an integer below
 #: 10**(2 * _K).
 _K = 32
+_SCALE = [10 ** (_K - j) for j in range(_K + 1)]  # 10**_K / 10**j, exactly
 _THRESHOLDS: dict[int, tuple[list[int], list[int]]] = {}
+
+#: Significant digits an exponent may have (|e| <= 9999): that is past any
+#: measured quantity, while 10**(10**6) would cost seconds per record.
+MAX_EXPONENT_DIGITS = 4
+
+_EXPONENT = rf"0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}}"
+#: The package's numeral grammar: an optional sign, then digits with at most
+#: one point (``-12``, ``0.5``, ``.5``, ``3.``), then optionally an exponent
+#: of at most MAX_EXPONENT_DIGITS significant digits (``1.5e3``, ``2E-4``).
+#: Its groups are the integer digits, the fraction digits and the exponent;
+#: each opens with "([", so ``NUMERAL.replace("([", "(?:[")`` is the same
+#: grammar without groups.
+NUMERAL = rf"[+-]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?{_EXPONENT}))?"
+
+_FIRST_DIGIT = {str(d): d for d in range(1, 10)}
 
 
 class IngestError(ValueError):
@@ -87,6 +106,12 @@ class IngestStats:
             bound = 10**MAX_EXPONENT_DIGITS - 1
             out.append(f"skipped {self.skipped_exponent} numeral(s) with |exponent| > {bound}")
         return out
+
+
+def exponent_out_of_range(text: str) -> bool:
+    """Whether ``text``, which `NUMERAL` refused, is a numeral but for an
+    exponent past the grammar's bound."""
+    return re.fullmatch(NUMERAL.replace(_EXPONENT, "[0-9]+"), text) is not None
 
 
 def _skip(text: str, stats: IngestStats, n: int = 1) -> None:
@@ -174,6 +199,30 @@ def _count_keys(b: int, keys: list[int], counts: list[int]) -> None:
         counts[digit_at[i]] += n
 
 
+def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
+    """First significant digit in base b, or 0 for zero, of the numeral with
+    `NUMERAL` groups ``whole``, ``frac``, ``exponent`` ("" when absent): in
+    base 10 the first nonzero digit, else that of x = p/10**k, k the fraction
+    digits less the exponent. For k <= _K the key x * 10**_K is placed in
+    `_threshold_table`, as `scan` places a chunk's keys; `_leading_digit`
+    reads any other x (through `Decimal` past int()'s length limit)."""
+    if b == 10:
+        return _FIRST_DIGIT.get((whole.lstrip("0") or frac.lstrip("0"))[:1], 0)
+    try:
+        p = int(whole + frac)
+        k = len(frac) - int(exponent) if exponent else len(frac)
+    except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
+        from decimal import Decimal
+        p, q = Decimal(f"{whole}.{frac}e{exponent or 0}").as_integer_ratio()
+        return _leading_digit(p, q, b) if p else 0
+    if k > _K:
+        return _leading_digit(p, 10**k, b) if p else 0
+    thresholds, digit_at = _threshold_table(b)
+    if (n := p * (_SCALE[k] if k >= 0 else 10 ** (_K - k))) < thresholds[-1]:
+        return digit_at[bisect_right(thresholds, n)]
+    return _leading_digit(n, 10**_K, b)
+
+
 def _joined(batch: list[str]) -> str:
     """The fields of ``batch`` as one "\\n"-terminated record each. A newline
     inside a field becomes a space: either is whitespace inside a record,
@@ -209,8 +258,8 @@ def scan(
     numeral of at most _K integer and _K fraction digits: without an
     exponent they give the integer key x * 10**_K, which `_count_keys`
     places in its base's threshold table, and with one `_numeral_digit`
-    reads them. Any other record is matched by `NUMERAL` alone, and read by
-    `_numeral_digit` or skipped and counted. ``stream`` is left open.
+    reads them through the same table. Any other record is matched by
+    `NUMERAL` alone, and read by `_numeral_digit` or skipped and counted. ``stream`` is left open.
     Structural problems raise IngestError with the offending line number,
     and undecodable bytes UnicodeDecodeError."""
     counts = [0] * base  # counts[0]: zeros
@@ -222,7 +271,6 @@ def scan(
     # [^\S\n] is str.strip's whitespace but for the newline ending a record
     findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
     match = re.compile(NUMERAL).fullmatch
-    scale = [10 ** (_K - j) for j in range(_K + 1)]
 
     def read(raw: str, n: int) -> None:  # n copies of a record the fast form refused
         if m := match(raw := raw.strip()):
@@ -243,7 +291,7 @@ def scan(
                         counts[int(d or 0)] += n
             else:
                 matches = findall(text)
-                _count_keys(base, [int(whole + frac) * scale[len(frac)]
+                _count_keys(base, [int(whole + frac) * _SCALE[len(frac)]
                                    for whole, frac, exponent, raw in matches
                                    if not (exponent or raw)], counts)
                 for whole, frac, exponent, raw in matches:

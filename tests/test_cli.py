@@ -152,6 +152,13 @@ class TestSequenceCommand:
         assert code == 0
         assert out == "1\n2\n4\n8\n16\n"
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_emit_values_takes_no_format(self, capsys, flag):
+        code, out, err = run_cli(capsys, "sequence", "--kind", "pow2", "-n", "5",
+                                 "--emit-values", flag)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("benford-radix: error: ")
+
     def test_emit_values_past_the_int_string_limit(self):
         # 2**19999 has 6021 digits, past the default 4300-digit str() limit
         proc = cli_subprocess(

@@ -211,15 +211,16 @@ class TestNumeralDigits:
 
 
 class TestPowerTable:
+    """`_leading_digit` at the powers of the base, where its float estimate
+    of the power below n must be clamped at b**0 or stepped exactly."""
+
     @pytest.mark.parametrize("base", range(2, 65))
     def test_edges_match_the_fraction_oracle(self, base):
-        # n = b**e - 1, b**e, b**e + 1 up to two powers past the table, which
-        # ends at the first power >= 2**256, as p // q (p >= q) and as
-        # (q - 1) // p (p < q) in `_leading_digit`
-        digits._leading_digit(1, 1, base)
-        table = digits._POWERS[base]
-        assert table[-2] < 2**256 <= table[-1]
-        for e in range(len(table) + 2):
+        # n = b**e - 1, b**e, b**e + 1 from e = 0 (n < b) to two powers past
+        # the first power >= 2**256, as p // q (p >= q) and as (q - 1) // p
+        # (p < q) in `_leading_digit`
+        top = next(e for e in range(257) if base**e >= 2**256)
+        for e in range(top + 3):
             for n in {base**e - 1, base**e, base**e + 1} - {0}:
                 q = 10 ** (2 * len(str(n)) + 2)
                 p = (q - 1) // n  # (q - 1) // p is n, and n - 1 for p + 1

@@ -1,20 +1,24 @@
 import contextlib
 import csv
 import io
+import math
 import re
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford_radix import ingest
-from benford_radix.digits import (NUMERAL, NoSignificantDigit, NumeralParseError, _leading_digit,
-                                  leading_digit_decimal_string, leading_digit_fraction)
-from benford_radix.ingest import _K, DatasetSource, IngestError, IngestStats, scan
+from benford_radix.digits import _leading_digit, leading_digit_fraction
+from benford_radix.ingest import _K, NUMERAL, DatasetSource, IngestError, IngestStats, scan
 from benford_radix.stats import tally
+
+from oracles import leading_digit_by_fraction_scaling
+from test_digits import int_str_digits
 
 
 def scanned(source, text, base=10):
@@ -157,7 +161,7 @@ def test_scan_leaves_the_stream_open(source, data, error):
 
 
 # The numeral grammar written without groups, as an independent reference:
-# `digits.NUMERAL` must accept exactly the same strings.
+# `ingest.NUMERAL` must accept exactly the same strings.
 OLD_NUMERAL = re.compile(
     r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?0*[0-9]{1,4})?"
 )
@@ -233,9 +237,25 @@ def csv_files(draw):
 WIDE_NUMERAL = re.compile(OLD_NUMERAL.pattern.replace("0*[0-9]{1,4}", "[0-9]+"))
 
 
+def exact_digit(numeral: str, base: int) -> int:
+    """First digit in ``base`` of a numeral `OLD_NUMERAL` accepts, 0 for
+    zero, by a route apart from the package's: in base 10 its first nonzero
+    digit, and in any other base its exact `Fraction`, scaled by a power of
+    the base (which keeps the digit) to near 1, then read by the oracle."""
+    mantissa = re.split("[eE]", numeral)[0]
+    first = next((int(c) for c in mantissa if c in "123456789"), 0)
+    if base == 10 or not first:
+        return first
+    with int_str_digits(0):  # numerals and exponents of any length
+        value = abs(Fraction(numeral))
+    e = int((value.numerator.bit_length() - value.denominator.bit_length()) / math.log2(base))
+    value = value / base**e if e >= 0 else value * base**-e
+    return leading_digit_by_fraction_scaling(value.numerator, value.denominator, base)
+
+
 def per_record(source, text, base):
     """The per-record reference: split ``text`` into records with universal
-    newlines or `csv.reader`, then read each with `leading_digit_decimal_string`."""
+    newlines or `csv.reader`, then read each with `exact_digit`."""
     text = text.removeprefix("\ufeff")
     if source.format == "lines":
         records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -247,18 +267,15 @@ def per_record(source, text, base):
         records = [row[index] if row else "" for row in rows]
     counts, stats = [0] * base, IngestStats()
     for record in records:
-        try:
-            counts[leading_digit_decimal_string(record, base)] += 1
-        except NoSignificantDigit:
-            counts[0] += 1
-        except NumeralParseError:
-            stripped = record.strip()
-            if not stripped:
-                stats.skipped_blank += 1
-            elif WIDE_NUMERAL.fullmatch(stripped):
-                stats.skipped_exponent += 1
-            else:
-                stats.skipped_non_numeric += 1
+        stripped = record.strip()
+        if OLD_NUMERAL.fullmatch(stripped):
+            counts[exact_digit(stripped, base)] += 1
+        elif not stripped:
+            stats.skipped_blank += 1
+        elif WIDE_NUMERAL.fullmatch(stripped):
+            stats.skipped_exponent += 1
+        else:
+            stats.skipped_non_numeric += 1
     stats.records = sum(counts)
     return tuple(counts[1:]), stats
 
@@ -284,7 +301,10 @@ def csv_files_with_line_ends(draw):
 
 def _key_edges():
     """Numerals of 0, 1, _K and _K + 1 integer and fraction digits, with and
-    without an exponent: the keys' reach, and the records just past it."""
+    without an exponent: the keys' reach, and the records just past it. Then
+    exponent numerals at k = _K and _K + 1 (k the fraction digits less the
+    exponent), with a key x * 10**_K past every base's table, and with an
+    exponent longer than int()'s default 4300-digit limit."""
     body = "3141592653589793238462643383279502884197"
     assert len(body) > _K + 1
     for whole in (0, 1, _K, _K + 1):
@@ -295,6 +315,8 @@ def _key_edges():
                     yield text + exponent
     yield from ("0." + "0" * (_K - 1) + "1", "0." + "0" * _K + "1", "0" * (_K + 1) + ".5",
                 "-" + "9" * _K + "." + "9" * _K, "9" * _K + "." + "9" * (_K + 1), "0" * _K)
+    yield from (f"2.5e-{_K - 1}", f"-2.5E-{_K}", f"0.0e-{_K}", "3e90", "-7.25E+60",
+                "5e" + "0" * 4400 + "9")
 
 
 KEY_EDGES = list(_key_edges())

@@ -47,6 +47,18 @@ class TestLazyRoot:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    @pytest.mark.parametrize("first", ["digits", "ingest"])
+    def test_numeral_reader_loads_from_either_module(self, first):
+        # `digits` loads `ingest`, the numeral reader, only when it reads a numeral
+        code = (f"import sys, benford_radix.{first}\n"
+                "print('benford_radix.ingest' in sys.modules)\n"
+                "from benford_radix.digits import leading_digit_decimal_string as read\n"
+                "print(read(' 0.5 ', 3), read('2.5e-3', 7))")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{first == 'ingest'}\n1 6\n"
+
 
 # (type, positional arguments, every field with its value, default fields included)
 RECORDS = [

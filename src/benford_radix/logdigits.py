@@ -1,4 +1,4 @@
-"""Certified leading digits from fixed-point logarithms.
+"""Certified leading digits from fixed-point logarithms and mantissas.
 
 The leading digit of a term x in base b is fixed by frac(log_b x): digit d
 owns [log_b d, log_b(d+1)). The streams here never build the terms. They
@@ -13,13 +13,13 @@ term j of lo..hi-1 is read at s + (j - lo)*step mod 2**bits within err units.
   integer the digit cycle `_power_cycle` is exact instead;
 - Fibonacci F_m, `_fibonacci_line`: m*log_b(phi) - log_b(sqrt 5) after an
   exact prefix;
-- factorials m!: a running sum of ln m, each carried from ln(m-1).
+- factorials m!, `_mantissa_digits`: a floored integer mantissa of m! / b**e.
 
-A digit is emitted only when s lies farther from every digit boundary than
-the bound of the stream's last term, one bound for the whole stream. A term
-that fails the test goes to its kind's resolver, `_resolve_power`,
-`_resolve_fibonacci` or `_resolve_factorial`, each a `_resolve`: exact up to
-`_EXACT_BITS` bits, else read at at(bits, j, j + 1) from 256 bits on.
+A digit is emitted only when s or the mantissa is farther from every digit
+boundary than the bound of the stream's last term. A term that fails goes to
+its kind's resolver, `_resolve_power`, `_resolve_fibonacci` or
+`_resolve_factorial`, each a `_resolve`: exact up to `_EXACT_BITS` bits, else
+read from 256 bits on at at(bits, j, j + 1) or from the mantissas of 1..m.
 Histograms of powers and Fibonacci numbers, `power_counts` and
 `fibonacci_counts`, walk no terms past an exact prefix: the count of line
 terms below a boundary is a difference of floor sums, `_floor_sum`, of
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter, deque
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, partial
 from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -170,18 +170,6 @@ def _certified(s: int, err: int, bounds: tuple[int, ...]) -> int:
     return d if d == bisect_right(bounds, s + err) else 0
 
 
-def _certifier(base: int, err: int) -> tuple[list[int], list[int]]:
-    """(edges, digit_at) with digit_at[bisect_right(edges, s)] equal to
-    `_certified` at 128 bits: the edges t_d + err + 1, t_{d+1} - err of the
-    certified intervals alternate, and s certifies digit d exactly at odd
-    index 2d - 1. An err past a digit interval leaves no edges."""
-    bounds = _digit_boundaries(base, LOG_FRACTIONAL_BITS)
-    edges = [x for d in range(1, base) for x in (bounds[d - 1] + err + 1, bounds[d] - err)]
-    if edges != sorted(edges):
-        edges = []
-    return edges, [0] + [x for d in range(1, base) for x in (d, 0)]
-
-
 def _ceiling(bits: int, last: int) -> int:
     """The last precision `_escalate` tries from ``bits`` for the ``last``
     index read: the first of bits, 2 * bits, .. of at least
@@ -206,35 +194,40 @@ def _escalate(bits: int, last: int, certify: Callable[[int], _T], what: str) -> 
 
 
 def _resolve(
-    base: int, j: int, exact_bits: int, exact: Callable[[], int], at: _Line, what: str
+    base: int, j: int, exact_bits: int, exact: Callable[[], int],
+    certify: Callable[[int], int], what: str,
 ) -> int:
-    """Leading digit of term j, whose 128-bit certificate failed.
-
-    ``exact()`` builds the term and is called only when ``exact_bits``, an
-    upper bound on its size, is at most _EXACT_BITS. Otherwise the term is
-    read at at(bits, j, j + 1) from 256 bits on by `_escalate`.
-    """
+    """Leading digit of term j, whose 128-bit certificate failed: exact()
+    builds the term when ``exact_bits``, an upper bound on its size, is at
+    most _EXACT_BITS; else certify(bits), the digit if ``bits`` certify it
+    and 0 if not, runs from 256 bits on under `_escalate`."""
     if exact_bits <= _EXACT_BITS:
         return _leading_digit(exact(), 1, base)
-
-    def certify(bits):
-        s, _, err = at(bits, j, j + 1)
-        return _certified(s, err, _digit_boundaries(base, bits))
-
     return _escalate(2 * LOG_FRACTIONAL_BITS, j, certify,
                      f"leading digit of {what} in base {base}")
+
+
+def _line_term(at: _Line, j: int, base: int, bits: int) -> int:
+    """Digit of term j of the line ``at`` if ``bits`` certify it, else 0."""
+    s, _, err = at(bits, j, j + 1)
+    return _certified(s, err, _digit_boundaries(base, bits))
 
 
 def _line_digits(
     at: _Line, lo: int, hi: int, base: int, resolve: Callable[[int], int]
 ) -> Iterator[int]:
     """Digits of terms j = lo..hi-1 read at s + (j - lo) * step within err
-    units for (s, step, err) = at(128, lo, hi): one bound for every term, so
-    one edge table from `_certifier` tests them all. ``resolve(j)`` answers
-    the terms that are not certified.
+    units for (s, step, err) = at(128, lo, hi), or resolve(j) if uncertified.
+    digit_at[bisect_right(edges, s)] is `_certified`: the edges t_d + err + 1,
+    t_{d+1} - err of the certified intervals alternate, s certifies digit d
+    exactly at odd index 2d - 1, and an err past an interval leaves no edges.
     """
     s, step, err = at(LOG_FRACTIONAL_BITS, lo, hi)
-    edges, digit_at = _certifier(base, err)
+    bounds = _digit_boundaries(base, LOG_FRACTIONAL_BITS)
+    edges = [x for d in range(1, base) for x in (bounds[d - 1] + err + 1, bounds[d] - err)]
+    if edges != sorted(edges):
+        edges = []
+    digit_at = [0] + [x for d in range(1, base) for x in (d, 0)]
     mask = _FP_ONE - 1
     for j in range(lo, hi):
         yield digit_at[bisect_right(edges, s)] or resolve(j)
@@ -303,8 +296,9 @@ def _line_counts(
         s, step, err = at(bits, lo, hi)
         if hi > lo and 2 * err + 1 >= 1 << bits:  # refused before a boundary is read
             return _linear_counts(hi - lo, s, step, err, (), bits)
-        # past the 128-bit table, which `_certifier` shares, only t_1 .. t_(top+1)
-        bounds = _digit_boundaries(base, bits, 0 if bits == LOG_FRACTIONAL_BITS else top)
+        # one 128-bit table per base, shared with the streams; past it t_1 .. t_(top+1)
+        bounds = (_digit_boundaries(base, bits) if bits == LOG_FRACTIONAL_BITS
+                  else _digit_boundaries(base, bits, top))
         rest = _linear_counts(hi - lo, s, step, err, bounds[:top + 1], bits)
         return rest and (h, rest)
 
@@ -325,7 +319,8 @@ def _power_line(a: int, b: int) -> _Line:
 
 
 def _resolve_power(a: int, k: int, b: int) -> int:
-    return _resolve(b, k, k * a.bit_length(), lambda: a ** k, _power_line(a, b),
+    return _resolve(b, k, k * a.bit_length(), lambda: a ** k,
+                    partial(_line_term, _power_line(a, b), k, b),
                     f"a**k for a {a.bit_length()}-bit a and a {k.bit_length()}-bit k")
 
 
@@ -398,15 +393,13 @@ def _fibonacci_line(b: int) -> _Line:
 
 def _resolve_fibonacci(m: int, b: int) -> int:
     # F_m < phi**m < 2**(0.7m)
-    return _resolve(b, m, m * 7 // 10 + 1, lambda: _fibonacci(m), _fibonacci_line(b),
-                    f"Fibonacci term {m}")
+    return _resolve(b, m, m * 7 // 10 + 1, lambda: _fibonacci(m),
+                    partial(_line_term, _fibonacci_line(b), m, b), f"Fibonacci term {m}")
 
 
 def fibonacci_digits(n: int, b: int) -> Iterator[int]:
     """Leading digits of F_1 .. F_n in base b."""
-    def resolve(m):
-        return _resolve_fibonacci(m, b)
-
+    resolve = partial(_resolve_fibonacci, b=b)
     prefix = min(n, _FIB_EXACT_PREFIX)
     yield from map(resolve, range(1, prefix + 1))
     yield from _line_digits(_fibonacci_line(b), prefix + 1, n + 1, b, resolve)
@@ -424,37 +417,42 @@ def fibonacci_counts(n: int, b: int, top: int) -> tuple[int, ...]:
     )
 
 
-def _factorial_logs(n: int, base: int, bits: int) -> Iterator[int]:
-    """Yield fixed-point log_base(m!) mod 1 at ``bits`` for m = 1..n, each
-    off by under one unit: the running sum of ln m, each step ln m - ln(m-1)
-    = 2 atanh(1/(2m-1)) off by under 2 units of 2**-w, is off by under
-    m(m - 1) < m**2; with ln base off by under 14 and log_base(m!) < m**2,
-    `_ratio` is off by under 1/2 + 2**(bits-w+1) * 15 * m**2 < 1."""
-    w = bits + 2 * n.bit_length() + 6
-    ln_base = _ln_fixed(base, w)
-    mask = (1 << bits) - 1
-    ln_m = total = 0
-    yield 0
-    for m in range(2, n + 1):
-        ln_m += 2 * _atanh(1, 2 * m - 1, w)
-        total += ln_m
-        yield _ratio(total, ln_base, bits) & mask
+def _mantissa_digits(n: int, b: int, bits: int, resolve: Callable[[int], int]) -> Iterator[int]:
+    """Digits of 1!, 2!, .., n! in base b from ``bits``-bit mantissas, or
+    resolve(m) for each m! they do not certify.
+
+    y_0 = 2**bits and y_m = (y_(m-1) * m) // b**k, the k putting y_m in
+    [2**bits, b * 2**bits), floor Y_m = m! * 2**bits / b**e for e the sum of
+    the k. Each floor is low by under one unit and Y_m >= y_m >= 2**bits, so
+    (Y_m - y_m) / Y_m <= (m - 1) * 2**-bits and Y_m <= y_m * 2**bits /
+    (2**bits - m + 1). So d = y_m >> bits, with d * 2**bits <= Y_m, is the digit of m!
+    when y_m < (d + 1) * (2**bits - n + 1).
+    """
+    # b**k <= y_(m-1) * m / 2**bits < b * n < b**(len(pw)), as b**bitlen(n) > n
+    pw = [b ** k for k in range(n.bit_length() + 1)]
+    thresholds = [p << bits for p in pw]
+    tops = [(d + 1) * ((1 << bits) - n + 1) for d in range(b)]
+    y = 1 << bits
+    for m in range(1, n + 1):
+        z = y * m
+        y = z // pw[bisect_right(thresholds, z) - 1]
+        d = y >> bits
+        yield d if y < tops[d] else resolve(m)
 
 
 def _resolve_factorial(m: int, b: int) -> int:
-    def at(bits, lo, hi):  # no line: the log of lo! itself, with step 0
-        return deque(_factorial_logs(lo, b, bits), maxlen=1)[0], 0, _FP_CONST_ERR + 2
+    def walk(bits):  # the digit of m!, the last one walked, or 0
+        for d in _mantissa_digits(m, b, bits, lambda j: 0):
+            pass
+        return d
 
     # m! < m**m < 2**(m * m.bit_length())
-    return _resolve(b, m, m * m.bit_length(), lambda: math.factorial(m), at, f"factorial {m}!")
+    return _resolve(b, m, m * m.bit_length(), lambda: math.factorial(m), walk, f"factorial {m}!")
 
 
 def factorial_digits(n: int, b: int) -> Iterator[int]:
     """Leading digits of 1!, 2!, .., n! in base b."""
-    # one unit for s, _FP_CONST_ERR for the boundary, one to spare
-    edges, digit_at = _certifier(b, _FP_CONST_ERR + 2)
-    for m, s in enumerate(_factorial_logs(n, b, LOG_FRACTIONAL_BITS), 1):
-        yield digit_at[bisect_right(edges, s)] or _resolve_factorial(m, b)
+    return _mantissa_digits(n, b, LOG_FRACTIONAL_BITS, lambda m: _resolve_factorial(m, b))
 
 
 class FastDigit(NamedTuple):

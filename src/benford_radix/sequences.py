@@ -1,10 +1,10 @@
 """Integer sequence generators and their leading-digit streams.
 
 `iter_leading_digits` answers powers, Fibonacci numbers and factorials from
-the certified fixed-point log streams of `logdigits`, which never build the
-terms: a digit is emitted only when the term's fractional logarithm is
-farther from every digit boundary than its running error bound, and the
-rare term that is not is resolved exactly or at doubled precision.
+the certified logarithm and mantissa streams of `logdigits`, which never
+build the terms: a digit is emitted only when the term's reading is farther
+from every digit boundary than its running error bound, and the rare term
+that is not is resolved exactly or at doubled precision.
 `leading_digit_counts` gives the histogram of powers and Fibonacci numbers
 in O(base * log n) steps, without walking the terms past an exact prefix.
 

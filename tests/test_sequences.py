@@ -18,7 +18,7 @@ from benford_radix.sequences import (
     leading_digit_power,
     leading_digit_power_fast,
 )
-from benford_radix.stats import tally
+from benford_radix.stats import leading_one_by_base, tally
 
 from oracles import (
     atanh_scaled_by_mpmath,
@@ -251,7 +251,7 @@ class TestCertifiedStreams:
         _same_digits(SequenceSpec.fibonacci(n), base)
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 400), base=BASES)
+    @given(n=st.integers(1, 3000), base=BASES)
     @_examples([{"n": 4097, "base": 7}, {"n": 4097, "base": 10}])
     def test_factorials_match_exact(self, n, base):
         _same_digits(SequenceSpec.factorial(n), base)
@@ -269,6 +269,40 @@ class TestCertifiedStreams:
             SequenceSpec.factorial(300),
         ):
             _same_digits(spec, base)
+
+
+# Bases whose power table for the factorial mantissas has few and many rows
+MANTISSA_BASES = (2, 3, 7, 10, 16, 60, 64)
+
+
+class TestFactorialMantissa:
+    @pytest.mark.parametrize("bits", [16, 20])
+    @pytest.mark.parametrize("base", MANTISSA_BASES)
+    def test_low_precision_certifies_only_true_digits(self, bits, base):
+        # at 16 and 20 bits the floored mantissas put some digits of the
+        # first 3000 factorials off by one; their certificates must fail
+        exact = list(iter_leading_digits_exact(SequenceSpec.factorial(3000), base))
+        got = list(logdigits._mantissa_digits(3000, base, bits, lambda m: 0))
+        certified = [(d, e) for d, e in zip(got, exact) if d]
+        assert all(d == e for d, e in certified)
+        assert 0 < len(certified) < len(exact)
+
+    @pytest.mark.parametrize("base", MANTISSA_BASES)
+    def test_top_of_the_power_table(self, base):
+        # a step of the walk can first divide by b**(k+1) past m = b**k, so
+        # n on both sides of b**k reaches the top of the power table
+        exact = list(iter_leading_digits_exact(SequenceSpec.factorial(4097), base))
+        for k in range(1, 13):
+            for n in (base ** k - 1, base ** k, base ** k + 1):
+                if n > 4097:
+                    break
+                assert list(logdigits.factorial_digits(n, base)) == exact[:n], n
+                low = logdigits._mantissa_digits(n, base, 16, lambda m: 0)
+                assert all(d in (0, e) for d, e in zip(low, exact)), n
+
+    def test_counts_of_20000_factorials(self):
+        counts = leading_digit_counts(SequenceSpec.factorial(20000), 10)
+        assert counts == (5934, 3572, 2552, 1944, 1563, 1422, 1112, 1042, 859)
 
 
 class TestHistogramCounts:
@@ -324,6 +358,17 @@ class TestHistogramCounts:
         d = logdigits._resolve_fibonacci(n + 1, base)
         assert sum(before) == n
         assert [y - x for x, y in zip(before, after)] == [int(i == d) for i in range(1, base)]
+
+    def test_one_boundary_table_per_base(self):
+        # the floor sums and the stream prefix share each base's 128-bit table;
+        # powers of 2 in the 6 bases that are powers of 2 use the digit cycle
+        n = 10000
+        logdigits._digit_boundaries.cache_clear()
+        rows = leading_one_by_base(range(2, 65), n)
+        assert logdigits._digit_boundaries.cache_info().currsize == 57
+        for row in rows[:-1]:
+            ones = tally(iter_leading_digits(SequenceSpec.powers(2, n), row.base), row.base)
+            assert row.empirical_p1 == ones.counts[0] / n, row.base
 
     def test_top_is_a_digit(self):
         spec = SequenceSpec.powers(2, 10)
@@ -444,3 +489,12 @@ class TestResolver:
             assert logdigits._resolve_factorial(5000, base) == leading_digit_int(
                 math.factorial(5000), base
             )
+
+    def test_factorial_walk_is_bounded(self, monkeypatch):
+        # the mantissas of 200000 terms at 256 bits, with no exact term
+        want = leading_digit_int(math.factorial(200_000), 10)
+        monkeypatch.setattr(logdigits, "_EXACT_BITS", 0)
+        start = time.perf_counter()
+        got = logdigits._resolve_factorial(200_000, 10)
+        assert time.perf_counter() - start < 1.0
+        assert got == want

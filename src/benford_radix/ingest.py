@@ -3,8 +3,10 @@
 `scan` is the one reader. It decides how a dataset is opened: UTF-8 with an
 optional BOM, universal newlines for plain lines and csv's own newline
 handling for CSV. Either way records reach one regular-expression pass per
-chunk as "\\n"-terminated text: whole lines, or the selected CSV fields of a
-batch of rows joined by "\\n". Numerals are read as strings; nothing is ever
+chunk as "\\n"-terminated text: whole lines, or whole CSV rows, whose match
+also selects the column. `csv` reads the header, and any text holding a
+quote, a NUL or a lone "\\r", whose selected fields of a batch of rows are
+then joined by "\\n". Numerals are read as strings; nothing is ever
 routed through binary floating point, so the digit statistics stay exact.
 Dirty records (blanks, non-numeric tokens, exponents past the grammar's
 bound) are skipped and counted, not fatal.
@@ -16,17 +18,18 @@ table, which places a numeral alone or in a chunk's batch of keys alike.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 from .digits import _leading_digit
 
-_CHUNK, _BATCH = 8192, 256  # characters of a lines file, rows of a CSV, read at a time
+_CHUNK, _BATCH = 8192, 256  # characters read at a time; CSV rows that csv splits at a time
 #: Most integer digits, and most fraction digits, of a numeral that `scan`
 #: reads in a base other than 10 by its key x * 10**_K, an integer below
 #: 10**(2 * _K).
@@ -52,6 +55,18 @@ _FIRST_DIGIT = {str(d): d for d in range(1, 10)}
 
 class IngestError(ValueError):
     """Structurally malformed input (e.g. a CSV row missing the selected column)."""
+
+
+class _Undecodable(UnicodeDecodeError):
+    """Input that is not UTF-8, named by its ``offset`` in the input (None
+    when the stream cannot tell it), not by its place in one read."""
+
+    offset: int | None = None
+
+    def __str__(self) -> str:
+        at = "" if self.offset is None else f" at input offset {self.offset}"
+        bad = self.object[self.start:self.end]
+        return f"'{self.encoding}' codec can't decode {bad!r}{at}: {self.reason}"
 
 
 class _Source(NamedTuple):
@@ -124,42 +139,24 @@ def _skip(text: str, stats: IngestStats, n: int = 1) -> None:
         stats.skipped_non_numeric += n
 
 
-def _fields(source: DatasetSource, lines: Iterable[str]) -> Iterator[list[str]]:
-    """The selected fields of the CSV rows of ``lines``, _BATCH rows at a
-    time; "" for an empty row."""
-    import csv  # loaded only by the datasets that use it
-
-    reader = rows = csv.reader(lines)
+def _column(source: DatasetSource, reader: Iterator[list[str]]) -> tuple[int, list[str] | None]:
+    """The index of the selected column, found in the header that ``reader``
+    reads first when there is one, and that first row if it is data."""
     column = source.column
-    try:
-        if isinstance(column, str) and column.isdigit():
-            # an index, unless the first row is too short for it but holds it as a name
-            first = next(rows, None)
-            if first is None:
-                return
-            if source.skip_header or int(column) < len(first) or column not in first:
-                column = int(column)
-            rows = chain([first], rows)
-        if isinstance(column, str):
-            header = next(rows, None)
-            if header is None:
-                return
-            if column not in header:
-                raise IngestError(f"column {column!r} not found in header {header!r}")
-            index = header.index(column)
-        else:
-            index = int(column)
-            if index < 0:
-                raise IngestError(f"column index must be >= 0, got {index}")
-            if source.skip_header:
-                next(rows, None)
-        while fields := [row[index] if row else "" for row in islice(rows, _BATCH)]:
-            yield fields
-    except IndexError:  # the row just read is too short
-        raise IngestError(
-            f"row at line {reader.line_num} has no column {source.column!r}") from None
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise IngestError(f"CSV error at line {reader.line_num}: {exc}") from None
+    if not isinstance(column, str) and int(column) < 0:
+        raise IngestError(f"column index must be >= 0, got {column}")
+    first = next(reader, None)
+    if first is None:
+        return 0, None
+    # an all-digit name is an index, unless the first row is too short for it but holds it
+    if isinstance(column, str) and column.isdigit() and (
+            source.skip_header or int(column) < len(first) or column not in first):
+        column = int(column)
+    if isinstance(column, str):
+        if column not in first:
+            raise IngestError(f"column {column!r} not found in header {first!r}")
+        return first.index(column), None
+    return int(column), None if source.skip_header else first
 
 
 def _threshold_table(b: int) -> tuple[list[int], list[int]]:
@@ -233,10 +230,24 @@ def _joined(batch: list[str]) -> str:
     return text
 
 
-def _lines(fh: TextIO) -> Iterator[str]:
-    """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n"."""
+def _lines(fh: TextIO, rest: list[str] | None = None, limit: int = 0) -> Iterator[str]:
+    """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n".
+
+    Given ``rest``, ``fh`` is CSV text read with newline="", and the lines
+    stop at the first read that only `csv` splits: one holding a '"', a NUL
+    (refused by csv before Python 3.11) or a "\\r" not before "\\n" (a line
+    end not cut at here), or longer, with the line it continues, than
+    csv's field size ``limit``. That read, led by the line it continues and
+    completed to a line end, is put in ``rest``."""
     parts = []
     while chunk := fh.read(_CHUNK):
+        if rest is not None:
+            if chunk[-1] == "\r":  # a "\r\n" stays in one read
+                chunk += fh.read(1)
+            if ('"' in chunk or "\0" in chunk or len(chunk) + sum(map(len, parts)) > limit
+                    or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
+                rest.append("".join(parts) + chunk + fh.readline())
+                return
         cut = chunk.rfind("\n") + 1
         if cut:
             yield "".join(parts) + chunk[:cut]
@@ -252,25 +263,30 @@ def scan(
     """Counts of the first digits 1..base-1 of the usable records of the
     byte ``stream``, with ``stats`` filled in. Every record is parsed once,
     by one ``findall`` per chunk of "\\n"-terminated records: whole lines,
-    or the selected CSV fields of _BATCH rows joined by "\\n". In base 10
-    the match captures the first significant digit, and the pairs are
-    counted in C. In any other base it captures `NUMERAL`'s groups for a
-    numeral of at most _K integer and _K fraction digits: without an
-    exponent they give the integer key x * 10**_K, which `_count_keys`
-    places in its base's threshold table, and with one `_numeral_digit`
-    reads them through the same table. Any other record is matched by
-    `NUMERAL` alone, and read by `_numeral_digit` or skipped and counted. ``stream`` is left open.
-    Structural problems raise IngestError with the offending line number,
-    and undecodable bytes UnicodeDecodeError."""
+    whole CSV rows, whose match skips the columns before the selected one,
+    or the selected fields of _BATCH rows that `csv` split (see `_lines`)
+    joined by "\\n". In base 10 the match captures the first significant
+    digit, and the pairs are counted in C. In any other base it captures
+    `NUMERAL`'s groups for a numeral of at most _K integer and _K fraction
+    digits: without an exponent they give the integer key x * 10**_K, which
+    `_count_keys` places in its base's threshold table, and with one
+    `_numeral_digit` reads them through the same table. Any other record is
+    matched by `NUMERAL` alone, and read by `_numeral_digit` or skipped and
+    counted. ``stream`` is left open. Structural problems raise IngestError
+    with the offending line number, and undecodable bytes a
+    UnicodeDecodeError that names their offset in the input, if it can."""
     counts = [0] * base  # counts[0]: zeros
     ten = base == 10
     if ten:  # one group: the first nonzero digit, if any
         numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[")
     else:  # `NUMERAL`'s three, of at most _K integer and _K fraction digits
         numeral = NUMERAL.replace("([0-9]*)", f"([0-9]{{0,{_K}}})")
-    # [^\S\n] is str.strip's whitespace but for the newline ending a record
-    findall = re.compile(rf"[^\S\n]*{numeral}[^\S\n]*\n|([^\n]*\n)").findall
     match = re.compile(NUMERAL).fullmatch
+
+    def records(skip: str = "", tail: str = "") -> Callable[[str], list]:
+        # a numeral between ``skip`` and ``tail``, or any other record; [^\S\n]
+        # is str.strip's whitespace but for the newline ending a record
+        return re.compile(rf"{skip}[^\S\n]*{numeral}[^\S\n]*{tail}\n|([^\n]*\n)").findall
 
     def read(raw: str, n: int) -> None:  # n copies of a record the fast form refused
         if m := match(raw := raw.strip()):
@@ -278,27 +294,70 @@ def scan(
         else:
             _skip(raw, stats, n)
 
+    def read_row(raw: str, n: int) -> None:  # the same for a row of quote-free CSV
+        if raw := raw.rstrip("\r\n"):
+            read(raw.split(",", index + 1)[index], n)  # IndexError: a short row
+        else:
+            stats.skipped_blank += n
+
+    def tally(text: str, findall: Callable[[str], list], refused) -> None:
+        if ten:  # few distinct (digit, raw) pairs: count them in C first
+            for (d, raw), n in Counter(findall(text)).items():
+                if raw:
+                    refused(raw, n)
+                else:
+                    counts[int(d or 0)] += n
+        else:
+            matches = findall(text)
+            _count_keys(base, [int(whole + frac) * _SCALE[len(frac)]
+                               for whole, frac, exponent, raw in matches
+                               if not (exponent or raw)], counts)
+            for whole, frac, exponent, raw in matches:
+                if exponent:
+                    counts[_numeral_digit(base, whole, frac, exponent)] += 1
+                elif raw:
+                    refused(raw, 1)
+
     # universal newlines for lines, csv's own for csv
     fh = io.TextIOWrapper(stream, encoding="utf-8-sig",
                           newline=None if source.format == "lines" else "")
     try:
-        for text in _lines(fh) if source.format == "lines" else map(_joined, _fields(source, fh)):
-            if ten:  # few distinct (digit, raw) pairs: count them in C first
-                for (d, raw), n in Counter(findall(text)).items():
-                    if raw:
-                        read(raw, n)
-                    else:
-                        counts[int(d or 0)] += n
-            else:
-                matches = findall(text)
-                _count_keys(base, [int(whole + frac) * _SCALE[len(frac)]
-                                   for whole, frac, exponent, raw in matches
-                                   if not (exponent or raw)], counts)
-                for whole, frac, exponent, raw in matches:
-                    if exponent:
-                        counts[_numeral_digit(base, whole, frac, exponent)] += 1
-                    elif raw:
-                        read(raw, 1)
+        if source.format == "lines":
+            findall = records()
+            for text in _lines(fh):
+                tally(text, findall, read)
+        else:
+            import csv  # loaded only by the datasets that use it
+
+            reader, done = csv.reader(fh), 0  # done: lines read before ``reader``'s first
+            try:
+                index, first = _column(source, reader)
+                if first is not None:
+                    read(first[index] if first else "", 1)
+                done, rest = reader.line_num, []
+                # the fields before the selected one written out, and a lookahead
+                # before the rest: the engine's general repeat is 20% slower
+                findall = records(r"[^,\n]*," * index, r"(?=[,\n])[^\n]*")
+                for text in _lines(fh, rest, csv.field_size_limit()):
+                    try:
+                        tally(text, findall, read_row)
+                    except IndexError:  # csv.reader splits ``text`` alike, and names the line
+                        rest = [text]
+                        break
+                    done += text.count("\n")
+                reader = csv.reader(chain(io.StringIO("".join(rest), newline=""), fh))
+                while fields := [row[index] if row else "" for row in islice(reader, _BATCH)]:
+                    tally(_joined(fields), records(), read)
+            except IndexError:  # the row just read is too short
+                raise IngestError(f"row at line {done + reader.line_num} "
+                                  f"has no column {source.column!r}") from None
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise IngestError(f"CSV error at line {done + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        error = _Undecodable(exc.encoding, exc.object, exc.start, exc.end, exc.reason)
+        with contextlib.suppress(OSError):  # a pipe cannot tell
+            error.offset = stream.tell() - len(exc.object) + exc.start
+        raise error from None
     finally:
         fh.detach()  # the wrapper would close ``stream`` when collected
     stats.records += sum(counts)

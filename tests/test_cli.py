@@ -396,6 +396,23 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", str(data))
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["lines", "csv"])
+    def test_undecodable_byte_names_its_input_offset(self, capsys, tmp_path, fmt):
+        data = tmp_path / "bad.dat"
+        data.write_bytes(b"1\n" * 100_000 + b"\xff\n")
+        flags = ["--format", "csv", "--column", "1"] if fmt == "csv" else []
+        code, _, err = run_cli(capsys, "analyze", str(data), *flags)
+        assert code == 2
+        assert err == ("benford-radix: error: 'utf-8' codec can't decode b'\\xff' "
+                       "at input offset 200000: invalid start byte\n")
+
+    def test_undecodable_byte_of_a_pipe_names_no_offset(self):
+        proc = cli_subprocess(["analyze", "-"], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        _, err = proc.communicate(b"1\n" * 100_000 + b"\xff\n", timeout=60)
+        assert proc.returncode == 2
+        assert err == b"benford-radix: error: 'utf-8' codec can't decode b'\\xff': invalid start byte\n"
+
     def test_empty_file_warns(self, capsys, tmp_path):
         data = tmp_path / "empty.txt"
         data.write_text("", encoding="utf-8")

@@ -255,16 +255,24 @@ def exact_digit(numeral: str, base: int) -> int:
 
 def per_record(source, text, base):
     """The per-record reference: split ``text`` into records with universal
-    newlines or `csv.reader`, then read each with `exact_digit`."""
+    newlines or `csv.reader`, then read each with `exact_digit`. A CSV row
+    without the selected column, or one `csv` refuses, raises `scan`'s
+    IngestError."""
     text = text.removeprefix("\ufeff")
     if source.format == "lines":
         records = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if records[-1] == "":
             records.pop()  # after the last line end
-    else:
+    else:  # the header rules are the package's own
         rows = csv.reader(io.StringIO(text, newline=""))
-        index = next(rows).index(source.column)
-        records = [row[index] if row else "" for row in rows]
+        try:
+            index, first = ingest._column(source, rows)
+            records = [] if first is None else [first[index] if first else ""]
+            records += [row[index] if row else "" for row in rows]
+        except IndexError:
+            raise IngestError(f"row at line {rows.line_num} has no column {source.column!r}")
+        except csv.Error as exc:
+            raise IngestError(f"CSV error at line {rows.line_num}: {exc}")
     counts, stats = [0] * base, IngestStats()
     for record in records:
         stripped = record.strip()
@@ -297,6 +305,54 @@ def csv_files_with_line_ends(draw):
         record = record[:cut] + draw(st.sampled_from(FIELD_BREAKS)) + record[cut:]
         rows.append(f'{i},"{record.replace(chr(34), chr(34) * 2)}"')
     return _join(draw, rows)
+
+
+def _maybe_quoted(draw, field, quotes):
+    """``field`` quoted where csv needs it and, given ``quotes``, now and then."""
+    if any(c in field for c in ',"\r\n') or quotes and draw(st.integers(0, 7)) == 0:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+@st.composite
+def mixed_csvs(draw):
+    """(source, text): a CSV whose value column is selected by name, by index
+    or by an all-digit name, with or without a header to skip. Its rows may
+    be quote-free or quoted, empty, whitespace-only, short or hold a NUL, and
+    its lines end with "\\n" alone or with a mix of "\\n", "\\r\\n" and "\\r"."""
+    width = draw(st.integers(1, 3))
+    index = draw(st.integers(0, width - 1))
+    names = [f"c{i}" for i in range(width)]
+    how = draw(st.sampled_from(["name", "index", "digits", "digit-name"]))
+    if how == "digit-name":  # every row is too short for index 9: a name
+        names[index] = "9"
+    column = {"name": names[index], "index": index, "digits": str(index), "digit-name": "9"}[how]
+    source = DatasetSource("csv", column, how in ("index", "digits") and draw(st.booleans()))
+    quotes = draw(st.booleans())
+    rows = [",".join(_maybe_quoted(draw, name, quotes) for name in names)]
+    for _ in range(draw(st.integers(0, 15))):
+        kind = draw(st.integers(0, 39))
+        if kind == 0:
+            rows.append("")
+        elif kind == 1:
+            rows.append(draw(st.text(" \t\x0c", min_size=1, max_size=2)))
+        elif kind == 2:  # no field at ``index``
+            rows.append(",".join(draw(st.sampled_from(["", "x", "7"])) for _ in range(index)))
+        else:
+            fields = [draw(st.sampled_from(["", "x", "7"])) for _ in range(width)]
+            fields[index] = draw(records()) + ("\0" if kind == 3 else "")
+            rows.append(",".join(_maybe_quoted(draw, field, quotes) for field in fields))
+    ends = st.sampled_from(["\n", "\r\n", "\r"] if draw(st.booleans()) else ["\n"])
+    text = "".join(row + draw(ends) for row in rows)
+    return source, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: its (counts, stats), or its IngestError message."""
+    try:
+        return read(*args)
+    except IngestError as exc:
+        return str(exc)
 
 
 def _key_edges():
@@ -361,6 +417,49 @@ class TestScan:
             ingest._BATCH = old
         assert got == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=mixed_csvs(), base=BASES, chunk=st.sampled_from([*range(1, 9), 8192]),
+           limit=st.sampled_from([None, None, 12, 40]))
+    def test_csv_readers_agree(self, case, base, chunk, limit):
+        # reads of 1-8 characters put the first one that only csv splits
+        # anywhere in the file, whole reads put a short row amid others, and
+        # a small field size limit stops the quote-free reader at long lines
+        source, text = case
+        old = ingest._CHUNK, csv.field_size_limit()
+        ingest._CHUNK = chunk
+        try:
+            if limit:
+                csv.field_size_limit(limit)
+            assert outcome(scanned, source, text, base) == outcome(per_record, source, text, base)
+        finally:
+            ingest._CHUNK = old[0]
+            csv.field_size_limit(old[1])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    def test_csv_reader_reads_only_the_header_of_quote_free_text(self, end, chunk, monkeypatch):
+        # reads of 7 characters split many a "\r\n"
+        source = DatasetSource(format="csv", column="value")
+        text = end.join(["id,value,flag", *(f"{i},{i * 7919 % 1000}.5,x" for i in range(3000)),
+                         "", "3000,n/a,x", "3001, ,x", ""])
+        want = {base: per_record(source, text, base) for base in (10, 7)}
+        readers, make = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: readers.append(make(lines)) or readers[-1])
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+        for base in (10, 7):
+            readers.clear()
+            assert scanned(source, text, base) == want[base]
+            assert sum(reader.line_num for reader in readers) == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("v,w\n1,2\n3,4\n5\n6,7\n", 4),
+        ('"v",w\r\n1,2\r\n\r\n3\r\n', 4),
+        ('v,w\n1,2\n3,4\n5\n"6",7\n', 4),
+    ], ids=["quote-free", "quoted-header-crlf", "quote-after"])
+    def test_short_row_amid_quote_free_rows_reports_its_line(self, text, line):
+        with pytest.raises(IngestError, match=f"row at line {line} has no column 'w'"):
+            scanned(DatasetSource(format="csv", column="w"), text)
+
     @pytest.mark.parametrize("fmt", ["lines", "csv"])
     def test_key_edges_equal_the_per_record_path(self, fmt):
         # past _K digits or with an exponent, a numeral is read by the exact route
@@ -423,8 +522,13 @@ def _peak_scan(source, path, base) -> int:
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fmt, base", [("lines", 10), ("csv", 10), ("lines", 7), ("csv", 7)])
-def test_scan_memory_is_flat_in_the_input_size(fmt, base, tmp_path):
+@pytest.mark.parametrize("fmt, base, end, quoted", [
+    ("lines", 10, "\n", False), ("csv", 10, "\n", False), ("lines", 7, "\n", False),
+    ("csv", 7, "\n", False), ("csv", 10, "\r", False), ("csv", 7, "\n", True),
+], ids=["lines-10", "csv-10", "lines-7", "csv-7", "csv-cr-10", "csv-quoted-7"])
+def test_scan_memory_is_flat_in_the_input_size(fmt, base, end, quoted, tmp_path):
+    # rows ended by a lone "\r", or a quoted field in the first row, send a
+    # CSV to csv.reader from its first read
     source = DatasetSource(format=fmt, column="v" if fmt == "csv" else None)
     peaks = []
     # tracemalloc traces every allocation, and a record read in base 7 makes
@@ -434,8 +538,53 @@ def test_scan_memory_is_flat_in_the_input_size(fmt, base, tmp_path):
         path = tmp_path / f"{n}.{fmt}"
         values = (f"{i * 7919 % 100_003}.{i % 997}e-{i % 7}" if i % 50 else "n/a"
                   for i in range(n))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("v\n" if fmt == "csv" else "")
-            fh.writelines(f"{v}\n" for v in values)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"v{end}" if fmt == "csv" else "")
+            fh.writelines(f'"{v}"{end}' if quoted and i == 0 else f"{v}{end}"
+                          for i, v in enumerate(values))
         peaks.append(_peak_scan(source, path, base))
     assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks
+
+
+class _Pipe(io.BytesIO):
+    """A byte stream that cannot tell its position, as a pipe."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+BOM = "\ufeff".encode()
+
+
+def _undecodable(fmt, bom, at, bad):
+    """A dataset of lines of 1, after ``bom`` and a header for csv, with the
+    bytes ``bad`` at offset ``at``."""
+    head = bom + (b"v\n" if fmt == "csv" else b"")
+    return (head + b"1\n" * at)[:at] + bad
+
+
+@pytest.mark.parametrize("bom, at, bad", [
+    (b"", 200_000, b"\xff\n3\n"), (BOM, 16_383, b"\xe2\x82(\n3\n"), (b"", 9_000, b"\xe2\x82"),
+], ids=["byte", "straddling-reads", "cut-short"])
+@pytest.mark.parametrize("fmt", ["lines", "csv"])
+@pytest.mark.parametrize("opened", ["file", "bytesio"])
+def test_undecodable_bytes_name_their_input_offset(opened, fmt, bom, at, bad, tmp_path):
+    # the codec's own error names a position within one read of the stream
+    source = DatasetSource(fmt, "v" if fmt == "csv" else None)
+    data = _undecodable(fmt, bom, at, bad)
+    path = tmp_path / "bad.dat"
+    path.write_bytes(data)
+    with open(path, "rb") if opened == "file" else io.BytesIO(data) as stream:
+        with pytest.raises(UnicodeDecodeError, match=f"can't decode b'.*' at input offset {at}: "):
+            scan(source, stream, 10, IngestStats())
+
+
+@pytest.mark.parametrize("fmt", ["lines", "csv"])
+def test_undecodable_bytes_of_a_pipe_name_no_offset(fmt):
+    source = DatasetSource(fmt, "v" if fmt == "csv" else None)
+    with pytest.raises(UnicodeDecodeError) as info:
+        scan(source, _Pipe(_undecodable(fmt, b"", 200_000, b"\xff\n")), 10, IngestStats())
+    assert str(info.value) == "'utf-8' codec can't decode b'\\xff': invalid start byte"

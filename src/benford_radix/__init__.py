@@ -18,7 +18,6 @@ _EXPORTS = {
         "INFINITE",
         "MAX_BASE",
         "MIN_BASE",
-        "Digit",
         "FiniteBaseRequired",
         "NoSignificantDigit",
         "NumeralParseError",
@@ -41,7 +40,6 @@ _EXPORTS = {
         "iter_leading_digits",
         "iter_leading_digits_exact",
         "leading_digit_counts",
-        "leading_digit_power",
         "leading_digit_power_fast",
     ),
     "stats": (
@@ -52,9 +50,7 @@ _EXPORTS = {
         "RadixMismatch",
         "chi_square_fit",
         "chi_square_p_value",
-        "chunked_tally",
         "leading_one_by_base",
-        "merge",
         "tally",
     ),
 }

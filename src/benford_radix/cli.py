@@ -12,11 +12,7 @@ import sys
 from itertools import islice
 
 from .digits import check_base
-from .model import benford_pmf
-from .reference import BENFORD_1938_FIRST_DIGIT
 from .report import ReportDocument, json_base, render_csv, render_json, render_text
-
-_BASES_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,20 +41,18 @@ def _parse_kind(kind: str, length: int) -> SequenceSpec:
 
 
 def _parse_bases(text: str) -> list[int]:
-    m = _BASES_RANGE_RE.match(text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise ValueError(f"bad base range {text!r}: {lo} > {hi}")
-        # both ends first, so that a range past 64 is refused before it is built
-        return list(range(check_base(lo), check_base(hi) + 1))
-    if text.isdigit():
-        return [check_base(int(text))]
-    raise ValueError(f"bad --bases value {text!r}: expected <lo>..<hi>")
+    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    if m is None:
+        raise ValueError(f"bad --bases value {text!r}: expected <lo>..<hi>")
+    lo, hi = int(m[1]), int(m[2] or m[1])
+    if lo > hi:
+        raise ValueError(f"bad base range {text!r}: {lo} > {hi}")
+    # both ends first, so that a range past 64 is refused before it is built
+    return list(range(check_base(lo), check_base(hi) + 1))
 
 
-def _histogram_payload(h: DigitHistogram) -> dict:
-    return {"base": h.base, "total": h.total, "counts": list(h.counts)}
+def _histogram_payload(base: int, counts: tuple[int, ...]) -> dict:
+    return {"base": base, "total": sum(counts), "counts": list(counts)}
 
 
 def _fit_payload(fit: FitReport | None) -> dict | None:
@@ -76,6 +70,9 @@ def _fit_payload(fit: FitReport | None) -> dict | None:
 
 def _law_doc(mode: str, base: int, p_key: str) -> ReportDocument:
     """The first-digit law of ``base``; base 10 adds the 1938 reference column."""
+    from .model import benford_pmf  # loaded only by the commands that use it
+    from .reference import BENFORD_1938_FIRST_DIGIT
+
     pmf = benford_pmf(base)
     rows = []
     for d in pmf.digits:
@@ -116,11 +113,9 @@ def _cmd_sequence(args) -> ReportDocument | None:
                 sys.set_int_max_str_digits(limit)
         return None
     if args.tally:
-        from .stats import DigitHistogram  # loaded only by the commands that count
-
-        hist = DigitHistogram(base, leading_digit_counts(spec, base))
+        counts = leading_digit_counts(spec, base)
         return ReportDocument(
-            mode="sequence", base=base, payload={"histogram": _histogram_payload(hist)}
+            mode="sequence", base=base, payload={"histogram": _histogram_payload(base, counts)}
         )
     digits = list(iter_leading_digits(spec, base))
     return ReportDocument(mode="sequence", base=base, payload={"digits": digits})
@@ -150,6 +145,7 @@ def _cmd_table2(args) -> ReportDocument:
 
 def _cmd_analyze(args) -> ReportDocument:
     from .ingest import DatasetSource, IngestStats, scan  # only analyze reads datasets
+    from .model import benford_pmf
     from .stats import DigitHistogram, chi_square_fit
 
     base = check_base(args.base)
@@ -176,7 +172,7 @@ def _cmd_analyze(args) -> ReportDocument:
     return ReportDocument(
         mode="analyze",
         base=base,
-        payload={"histogram": _histogram_payload(hist), "fit": _fit_payload(fit)},
+        payload={"histogram": _histogram_payload(base, counts), "fit": _fit_payload(fit)},
         warnings=warnings,
     )
 

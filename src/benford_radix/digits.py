@@ -56,28 +56,6 @@ def check_base(base) -> int:
     return b
 
 
-class Digit(int):
-    """A first significant digit together with the base it was read in.
-
-    Behaves like the plain int it wraps (comparisons, indexing, arithmetic),
-    with the originating base available as ``.base``.
-    """
-
-    base: int
-
-    def __new__(cls, value: int, base: int) -> "Digit":
-        b = check_base(base)
-        v = as_exact_int(value, "digit")
-        if not 1 <= v <= b - 1:
-            raise ValueError(f"digit must be in 1..{b - 1} for base {b}, got {v}")
-        self = super().__new__(cls, v)
-        self.base = b
-        return self
-
-    def __repr__(self) -> str:
-        return f"Digit({int(self)}, base={self.base})"
-
-
 def _checked_magnitude(n) -> int:
     """Return |n| as an int >= 1, raising for zero or non-integers."""
     m = abs(as_exact_int(n, "value"))
@@ -105,30 +83,29 @@ def _leading_digit(p: int, q: int, b: int) -> int:
     return n // w if p >= q else p * w * b // q
 
 
-def leading_digit_int(n, base) -> Digit:
+def leading_digit_int(n, base) -> int:
     """First significant digit of the integer n in ``base``.
 
     Sign is ignored; zero has no significant digit and raises.
     """
     b = check_base(base)
-    return Digit(_leading_digit(_checked_magnitude(n), 1, b), b)
+    return _leading_digit(_checked_magnitude(n), 1, b)
 
 
-def leading_digit_fraction(numerator, denominator, base) -> Digit:
+def leading_digit_fraction(numerator, denominator, base) -> int:
     """First significant digit of the positive rational |numerator|/denominator."""
     b = check_base(base)
     q = as_exact_int(denominator, "denominator")
     if q <= 0:
         raise ValueError(f"denominator must be positive, got {denominator!r}")
-    return Digit(_leading_digit(_checked_magnitude(numerator), q, b), b)
+    return _leading_digit(_checked_magnitude(numerator), q, b)
 
 
 def leading_digit_decimal_string(s: str, base=10) -> int:
     """First significant digit of a decimal numeral string, read in ``base``.
 
-    Returns a plain int. The stripped string must match `ingest.NUMERAL`;
-    the digit comes from `ingest._numeral_digit`, and zero raises
-    NoSignificantDigit.
+    The stripped string must match `ingest.NUMERAL`; the digit comes from
+    `ingest._numeral_digit`, and zero raises NoSignificantDigit.
     """
     from .ingest import NUMERAL, _numeral_digit  # the numeral reader, loaded on first use
 

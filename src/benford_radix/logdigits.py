@@ -28,9 +28,9 @@ O(log n) steps each (Graham, Knuth and Patashnik, Concrete Mathematics,
 
 Both double the bits until certified (Ziv's strategy) in one `_escalate`,
 which stops at 2048 bits below index 2**512 and raises a ValueError instead
-of building a term or walking n terms. Digits are plain ints; only the
-single-power API, `leading_digit_power_fast` and `leading_digit_power`,
-builds a `Digit`.
+of building a term or walking n terms. Digits are plain ints.
+`leading_digit_power_fast` reads one power at 128 bits and says whether its
+digit is certified.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 from itertools import cycle, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .digits import Digit, _leading_digit, as_exact_int, check_base
+from .digits import _leading_digit, as_exact_int, check_base
 
 #: Fractional bits used for all fixed-point logarithms. 128 bits leave the
 #: propagated error (a few units times the exponent k) negligible against
@@ -65,7 +65,28 @@ _EXACT_BITS = 1 << 20
 _MAX_LOG_BITS = 1 << 11
 #: Powers a**k below this k are counted from the stream, which builds an
 #: uncertified one exactly: no precision certifies an exact boundary hit,
-#: and one needs k <= 35 (see `leading_digit_power`).
+#: and one needs k <= 35.
+#:
+#: Suppose a**k = d * b**e with 1 <= d < b <= 64, e >= 0, k >= 1, and a and
+#: b not powers of one integer (`_power_cycle` answers that case). Write v_p
+#: for the exponent of the prime p.
+#:
+#: - A prime q divides a but not b: v_q(d) = k*v_q(a) >= k, so
+#:   2**k <= d < 64 and k <= 5.
+#: - A prime p divides b but not a: 0 = v_p(d) + e*v_p(b) forces e = 0, so
+#:   a**k = d < 64 and k <= 5.
+#: - Otherwise a and b have the same primes, and their exponent vectors are
+#:   not proportional (if they were, a and b would be powers of one
+#:   integer), so some primes p, q have D = v_p(a)*v_q(b) - v_q(a)*v_p(b)
+#:   != 0. Eliminating e from k*v_p(a) = v_p(d) + e*v_p(b) and the same
+#:   line for q gives k*D = v_p(d)*v_q(b) - v_q(d)*v_p(b), and each product
+#:   is below log2(b)**2 <= 36 because p**v_p(d) <= d < b, so k <= 35.
+#:
+#: So `_resolve_power` builds every possible hit exactly whenever
+#: 35 * a.bit_length() <= _EXACT_BITS, which covers every a below 2**29000,
+#: and its escalation cannot stall on one: any other uncertain power lies
+#: strictly inside a digit interval, at a positive distance that enough bits
+#: certify.
 _POWER_EXACT_PREFIX = 64
 #: Fibonacci terms up to this index are resolved exactly. Past it the Binet
 #: part of the bound (see `_fibonacci_line`), 2**(bits - 276) units at F_201,
@@ -458,7 +479,7 @@ def factorial_digits(n: int, b: int) -> Iterator[int]:
 class FastDigit(NamedTuple):
     """Result of the logarithmic path: a digit plus whether it is certified."""
 
-    digit: Digit
+    digit: int
     certain: bool
 
 
@@ -479,55 +500,13 @@ def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:
     if k < 0:
         raise ValueError(f"exponent must be >= 0, got {k}")
     if k == 0:
-        return FastDigit(Digit(1, b), certain=True)
+        return FastDigit(1, certain=True)
 
     digits = _power_cycle(a, b)
     if digits:
-        return FastDigit(Digit(digits[k % len(digits)], b), certain=True)
+        return FastDigit(digits[k % len(digits)], certain=True)
 
     s, _, err = _power_line(a, b)(LOG_FRACTIONAL_BITS, k, k + 1)
     bounds = _digit_boundaries(b, LOG_FRACTIONAL_BITS)
     d = _certified(s, err, bounds)
-    return FastDigit(Digit(d or bisect_right(bounds, s), b), certain=d > 0)
-
-
-def leading_digit_power(a: int, k: int, base) -> Digit:
-    """Certified leading digit of a**k, with bounded time and memory.
-
-    The 128-bit probe `leading_digit_power_fast` answers almost every call.
-    An uncertain probe is resolved by `_resolve_power`: exactly when
-    k * a.bit_length() <= _EXACT_BITS, otherwise by fixed-point logs at
-    256, 512, .. bits until the digit is certified. The error bound stays
-    k * _FP_CONST_ERR + _FP_CONST_ERR + 1 units while each doubling squares
-    the unit 2**-bits. Past 2048 bits, or 2 * k.bit_length() + 1024 bits
-    for a k of more than 512 bits, a ValueError is raised (`_escalate`).
-
-    Escalation cannot stall on a power that sits exactly on a boundary,
-    because such powers are small. Suppose a**k = d * base**e with
-    1 <= d < base <= 64, e >= 0, k >= 1, and a and base not powers of one
-    integer (that case never reaches here). Write v_p for the exponent of
-    the prime p.
-
-    - A prime q divides a but not base: v_q(d) = k*v_q(a) >= k, so
-      2**k <= d < 64 and k <= 5.
-    - A prime p divides base but not a: 0 = v_p(d) + e*v_p(base) forces
-      e = 0, so a**k = d < 64 and k <= 5.
-    - Otherwise a and base have the same primes, and their exponent vectors
-      are not proportional (if they were, a and base would be powers of one
-      integer), so some primes p, q have
-      D = v_p(a)*v_q(base) - v_q(a)*v_p(base) != 0. Eliminating e from
-      k*v_p(a) = v_p(d) + e*v_p(base) and the same line for q gives
-      k*D = v_p(d)*v_q(base) - v_q(d)*v_p(base), and each product is below
-      log2(base)**2 <= 36 because p**v_p(d) <= d < base, so k <= 35.
-
-    So an exact hit has k <= 35, and every possible hit is built exactly
-    whenever 35 * a.bit_length() <= _EXACT_BITS, which covers every a below
-    2**29000. Any other uncertain power lies strictly inside a digit
-    interval, at a positive distance that enough bits certify.
-    """
-    fast = leading_digit_power_fast(a, k, base)
-    if fast.certain:
-        return fast.digit
-    b = fast.digit.base
-    a, k = as_exact_int(a, "sequence base"), as_exact_int(k, "exponent")
-    return Digit(_resolve_power(a, k, b), b)
+    return FastDigit(d or bisect_right(bounds, s), certain=d > 0)

@@ -19,12 +19,11 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .digits import check_base
-from .logdigits import (  # the single-power API is re-exported from here
+from .logdigits import (  # the single-power probe is re-exported from here
     FastDigit,
     factorial_digits,
     fibonacci_counts,
     fibonacci_digits,
-    leading_digit_power,
     leading_digit_power_fast,
     power_counts,
     power_digits,

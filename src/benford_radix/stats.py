@@ -1,10 +1,10 @@
 """Leading-digit histograms, goodness-of-fit, and the multi-base summary table.
 
-Histograms are immutable value objects with an associative, commutative
-merge, so tallying can be chunked and combined in any order. The chi-square
-p-value is the closed form of the regularized upper incomplete gamma
-function at integer degrees of freedom: a finite Poisson sum for even df,
-erfc plus a finite sum for odd df.
+A histogram is an immutable tuple of counts per digit, from `tally` or
+straight from a counting engine. The chi-square p-value is the closed form
+of the regularized upper incomplete gamma function at integer degrees of
+freedom: a finite Poisson sum for even df, erfc plus a finite sum for odd
+df.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .digits import INFINITE, Digit, as_exact_int, check_base
+from .digits import INFINITE, as_exact_int, check_base
 from .model import BenfordPmf, leading_one_probability, limit_leading_one_probability
 from .reference import (
     POW2_LEADING_ONE_REFERENCE,
@@ -21,7 +21,7 @@ from .reference import (
 
 
 class RadixMismatch(ValueError):
-    """Digits or histograms from different bases were combined."""
+    """A histogram was fitted against a PMF of another base."""
 
 
 class EmptyHistogram(ValueError):
@@ -36,7 +36,7 @@ class _Histogram(NamedTuple):
 class DigitHistogram(_Histogram):
     """Occurrence counts of leading digits 1..base-1.
 
-    ``counts[i]`` is the count for digit i+1; ``count(d)`` indexes by value.
+    ``counts[i]`` is the count for digit i+1.
     """
 
     __slots__ = ()
@@ -49,58 +49,26 @@ class DigitHistogram(_Histogram):
             raise ValueError("counts must be nonnegative")
         return super().__new__(cls, base, counts)
 
-    @classmethod
-    def zero(cls, base) -> "DigitHistogram":
-        b = check_base(base)
-        return cls(base=b, counts=(0,) * (b - 1))
-
     @property
     def total(self) -> int:
         return sum(self.counts)
 
-    def count(self, d: int) -> int:
-        if not 1 <= d <= self.base - 1:
-            raise ValueError(f"digit must be in 1..{self.base - 1}, got {d}")
-        return self.counts[d - 1]
-
-    def __add__(self, other: "DigitHistogram") -> "DigitHistogram":
-        return merge(self, other)
-
 
 def tally(digits: Iterable[int], base) -> DigitHistogram:
-    """Count leading-digit occurrences from a stream of digits.
+    """Count leading-digit occurrences from a stream of ints in 1..base-1.
 
-    Accepts Digit instances (whose base must match; a mismatch raises
-    RadixMismatch) or plain ints in 1..base-1. A plain int costs one range
-    check; anything else goes through `_checked_digit`.
+    A plain int costs one range check; anything else must be an exact
+    integer in range.
     """
     b = check_base(base)
     counts = [0] * b  # indexed by the digit; counts[0] stays 0
     for d in digits:
-        if type(d) is int and 0 < d < b:
-            counts[d] += 1
-        else:
-            counts[_checked_digit(d, b)] += 1
+        if not (type(d) is int and 0 < d < b):
+            d = as_exact_int(d, "digit")
+            if not 0 < d < b:
+                raise ValueError(f"digit {d} out of range 1..{b - 1} for base {b}")
+        counts[d] += 1
     return DigitHistogram(base=b, counts=tuple(counts[1:]))
-
-
-def _checked_digit(d, b: int) -> int:
-    """``d`` as an int in 1..b-1, or RadixMismatch/ValueError."""
-    if isinstance(d, Digit) and d.base != b:
-        raise RadixMismatch(f"digit read in base {d.base} cannot be tallied in base {b}")
-    v = as_exact_int(d, "digit")
-    if not 1 <= v <= b - 1:
-        raise ValueError(f"digit {v} out of range 1..{b - 1} for base {b}")
-    return v
-
-
-def merge(h1: DigitHistogram, h2: DigitHistogram) -> DigitHistogram:
-    """Elementwise sum of two histograms over the same base."""
-    if h1.base != h2.base:
-        raise RadixMismatch(f"cannot merge base {h1.base} with base {h2.base}")
-    return DigitHistogram(
-        base=h1.base, counts=tuple(a + b for a, b in zip(h1.counts, h2.counts))
-    )
 
 
 # --- chi-square machinery ---------------------------------------------------
@@ -266,12 +234,3 @@ def leading_one_by_base(
     )
     return rows
 
-
-def chunked_tally(
-    digit_chunks: Iterable[Iterable[int]], base
-) -> DigitHistogram:
-    """Tally chunks independently and merge; equals one tally of the whole stream."""
-    result = DigitHistogram.zero(base)
-    for chunk in digit_chunks:
-        result = merge(result, tally(chunk, base))
-    return result

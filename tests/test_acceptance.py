@@ -8,8 +8,6 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from benford_radix.cli import main
 from benford_radix.digits import leading_digit_decimal_string, leading_digit_fraction, leading_digit_int
@@ -22,12 +20,9 @@ from benford_radix.sequences import (
     leading_digit_power_fast,
 )
 from benford_radix.stats import (
-    DigitHistogram,
     chi_square_fit,
     chi_square_p_value,
-    chunked_tally,
     leading_one_by_base,
-    merge,
     tally,
 )
 
@@ -144,38 +139,6 @@ def test_criterion_08_benford_convergence_and_gamma():
     assert worst <= 1e-8
     _report(8, f"MAD at N=10^4 is {report.mad:.5f} < 0.01; p-values match the "
                f"independent gamma oracle within {worst:.2e} on a 20-point grid")
-
-
-_histogram_cases_passed = [0]
-
-
-@settings(max_examples=1000, deadline=None)
-@given(
-    base=st.integers(min_value=2, max_value=16),
-    data=st.data(),
-)
-def test_criterion_09_histogram_algebra(base, data):
-    digit = st.integers(min_value=1, max_value=base - 1)
-    counts = st.lists(
-        st.integers(min_value=0, max_value=30), min_size=base - 1, max_size=base - 1
-    )
-    h1 = DigitHistogram(base=base, counts=tuple(data.draw(counts)))
-    h2 = DigitHistogram(base=base, counts=tuple(data.draw(counts)))
-    h3 = DigitHistogram(base=base, counts=tuple(data.draw(counts)))
-    assert merge(h1, h2) == merge(h2, h1)
-    assert merge(merge(h1, h2), h3) == merge(h1, merge(h2, h3))
-    assert merge(h1, DigitHistogram.zero(base)) == h1
-
-    stream = data.draw(st.lists(digit, max_size=60))
-    cut = data.draw(st.integers(min_value=0, max_value=len(stream)))
-    assert chunked_tally([stream[:cut], stream[cut:]], base) == tally(stream, base)
-    _histogram_cases_passed[0] += 1
-
-
-def test_criterion_09_report():
-    assert _histogram_cases_passed[0] >= 1000
-    _report(9, f"{_histogram_cases_passed[0]} randomized cases of merge "
-               "identity/commutativity/associativity and tally chunking all hold")
 
 
 def test_criterion_10_ingestion_exactness():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from benford_radix import digits
 from benford_radix.digits import (
     INFINITE,
-    Digit,
     FiniteBaseRequired,
     NoSignificantDigit,
     NumeralParseError,
@@ -77,23 +76,6 @@ def fraction_digit(digits: str, k: int, base: int):
     return int(leading_digit_fraction(p, 10**k, base))
 
 
-class TestDigitType:
-    def test_behaves_like_int(self):
-        d = Digit(3, base=10)
-        assert d == 3
-        assert d + 1 == 4
-        assert d.base == 10
-
-    def test_rejects_zero_and_out_of_range(self):
-        with pytest.raises(ValueError):
-            Digit(0, base=10)
-        with pytest.raises(ValueError):
-            Digit(10, base=10)
-
-    def test_repr(self):
-        assert repr(Digit(5, base=8)) == "Digit(5, base=8)"
-
-
 class TestCheckBase:
     def test_accepts_range(self):
         assert check_base(2) == 2
@@ -116,6 +98,8 @@ class TestCheckBase:
 class TestLeadingDigitInt:
     def test_power_of_two_entry(self):
         assert leading_digit_int(256, 10) == 2
+        assert type(leading_digit_int(256, 10)) is int
+        assert type(leading_digit_fraction(3, 8, 10)) is int
 
     @pytest.mark.parametrize("base", range(2, 65))
     def test_one_is_always_digit_one(self, base):
@@ -235,10 +219,6 @@ class TestLeadingDigitFraction:
 
     def test_value_below_one(self):
         assert leading_digit_fraction(1, 2, 3) == 1
-
-    def test_digit_carries_its_base(self):
-        assert leading_digit_fraction(-1, 2, 3).base == 3
-        assert leading_digit_int(-256, 7).base == 7
 
     def test_zero_numerator_rejected(self):
         with pytest.raises(NoSignificantDigit):

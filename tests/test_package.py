@@ -9,7 +9,6 @@ import types
 import pytest
 
 import benford_radix
-from benford_radix.digits import Digit
 from benford_radix.ingest import DatasetSource, IngestStats
 from benford_radix.model import BenfordPmf
 from benford_radix.report import ReportDocument
@@ -63,7 +62,7 @@ class TestLazyRoot:
 # (type, positional arguments, every field with its value, default fields included)
 RECORDS = [
     (BenfordPmf, (3, (0.6, 0.4)), {"base": 3, "probs": (0.6, 0.4)}),
-    (FastDigit, (Digit(2, 10), False), {"digit": Digit(2, 10), "certain": False}),
+    (FastDigit, (2, False), {"digit": 2, "certain": False}),
     (FitReport, (1.5, 8, 0.9, 0.004, 0.01, "close"),
      {"statistic_chi2": 1.5, "degrees_of_freedom": 8, "p_value": 0.9, "mad": 0.004,
       "max_deviation": 0.01, "verdict": "close", "warnings": ()}),

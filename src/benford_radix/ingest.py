@@ -13,7 +13,7 @@ bound) are skipped and counted, not fatal.
 
 This is the package's one numeral reader: `NUMERAL` is its grammar,
 `_numeral_digit` its digit engine and `_threshold_table` its one per-base
-table, which places a numeral alone or in a chunk's batch of keys alike.
+table, which places a numeral by its text alone or in a chunk's batch alike.
 """
 
 from __future__ import annotations
@@ -21,21 +21,22 @@ from __future__ import annotations
 import contextlib
 import io
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 from .digits import _leading_digit
 
 _CHUNK, _BATCH = 8192, 256  # characters read at a time; CSV rows that csv splits at a time
-#: Most integer digits, and most fraction digits, of a numeral that `scan`
-#: reads in a base other than 10 by its key x * 10**_K, an integer below
-#: 10**(2 * _K).
+#: Most integer digits, past leading zeros, and most fraction digits of a
+#: numeral that `scan` places by its text in a base other than 10.
 _K = 32
-_SCALE = [10 ** (_K - j) for j in range(_K + 1)]  # 10**_K / 10**j, exactly
-_THRESHOLDS: dict[int, tuple[list[int], list[int]]] = {}
+_THRESHOLDS: dict[int, tuple[list[str], list[int], list[int], list[int]]] = {}
+#: Exponents of at most two digits ("5", "-05", "+12") by their text: cheaper than int().
+_EXPONENTS = {f"{sign}{n:0{w}}": -n if sign == "-" else n
+              for sign in ("", "+", "-") for w in (1, 2) for n in range(100)}
 
 #: Significant digits an exponent may have (|e| <= 9999): that is past any
 #: measured quantity, while 10**(10**6) would cost seconds per record.
@@ -49,8 +50,6 @@ _EXPONENT = rf"0*[0-9]{{1,{MAX_EXPONENT_DIGITS}}}"
 #: each opens with "([", so ``NUMERAL.replace("([", "(?:[")`` is the same
 #: grammar without groups.
 NUMERAL = rf"[+-]?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?{_EXPONENT}))?"
-
-_FIRST_DIGIT = {str(d): d for d in range(1, 10)}
 
 
 class IngestError(ValueError):
@@ -159,65 +158,65 @@ def _column(source: DatasetSource, reader: Iterator[list[str]]) -> tuple[int, li
     return int(column), None if source.skip_header else first
 
 
-def _threshold_table(b: int) -> tuple[list[int], list[int]]:
-    """(thresholds, digit_at) of base b, built on first use.
+def _threshold_table(b: int) -> tuple[list[str], list[int], list[int], list[int]]:
+    """(strings, lo, hi, digit_at) of base b, kept in _THRESHOLDS[b].
 
-    The thresholds are the integers ceil(d * b**e * 10**_K), d = 1..b-1, in
-    ascending order, one row of them for each integer e from the largest
-    with b**e <= 10**-_K to the first row that reaches 2**256; digit_at[i]
-    is the d of thresholds[i - 1], and digit_at[0] = 0. An integer N is
-    >= ceil(v) exactly when N >= v, so the bisect_right(thresholds, N)
-    thresholds <= N end at the largest d * b**e <= N / 10**_K, whose d is
-    the first digit of N / 10**_K for 0 < N < thresholds[-1]; N = 0 gets 0.
+    ``strings`` are the thresholds d * b**e, d = 1..b-1, ascending, from the
+    largest e with b**e <= 10**-_K to the last below 10**_K: from 1 on as
+    integers, below 1 as "." and their fraction rounded up to _K places, no
+    trailing zeros. Those of L integer digits are strings[lo[L]:hi[L]], those
+    of z zeros after the point strings[lo[-z]:hi[-z]], and L = 0 gives every
+    fraction. digit_at[i] is the d of strings[i - 1]; digit_at[0] = 0.
+
+    So bisect_right(strings, text, lo[L], hi[L]) counts the thresholds <= x,
+    and digit_at of it is x's first digit, if text starts with the L-digit
+    integer part of x >= 1 (the thresholds there are integers, and digit
+    strings of one length sort as their values), or if it is "." and the
+    fraction x < 1 of at most _K places, L = 0 or -z: x reaches t exactly
+    when it reaches ceil(t * 10**_K) / 10**_K, and a longer text starting
+    with one that has no trailing zeros is no smaller. Zero ("", ".") gets 0.
     """
-    if (table := _THRESHOLDS.get(b)) is None:
-        num, den, thresholds = 10**_K, 1, []  # b**e * 10**_K = num / den
-        while den < num:
-            den *= b
-        while not thresholds or thresholds[-1] < 1 << 256:
-            thresholds += (-(-d * num // den) for d in range(1, b))
-            num, den = (num, den // b) if den > 1 else (num * b, 1)
-        digit_at = [0] + [*range(1, b)] * (len(thresholds) // (b - 1))
-        table = _THRESHOLDS[b] = thresholds, digit_at
+    top, powers = 10**_K, [1]
+    while powers[-1] < top:
+        powers.append(powers[-1] * b)
+    fractions = [-(-d * top // p) for p in powers[:0:-1] for d in range(1, b)]  # * 10**-_K
+    integers = [n for p in powers[:-1] for d in range(1, b) if (n := d * p) < top]
+    strings = [f".{n:0{_K}}".rstrip("0") for n in fractions] + [*map(str, integers)]
+    # first[i]: where place P = i + 1 - _K starts (-z for a fraction, L for an integer)
+    first = [bisect_left(fractions, 10 ** (_K + P - 1)) for P in range(1 - _K, 1)]
+    first += [len(fractions) + bisect_left(integers, 10 ** (L - 1)) for L in range(1, _K + 2)]
+    lo, hi = first[_K - 1:-1] + first[:_K - 1], first[_K:] + first[1:_K]
+    lo[0] = 0  # no integer digits: any fraction
+    table = _THRESHOLDS[b] = strings, lo, hi, [0] + [*range(1, b)] * (2 * len(powers))
     return table
-
-
-def _count_keys(b: int, keys: list[int], counts: list[int]) -> None:
-    """Add to counts[d], for each key N >= 0, one for the first digit d in
-    base b of N / 10**_K (0 for N = 0): the keys are counted in C by their
-    place in `_threshold_table`, and a key past its top by `_leading_digit`."""
-    thresholds, digit_at = _threshold_table(b)
-    seen = Counter(map(partial(bisect_right, thresholds), keys))
-    if seen.pop(len(thresholds), 0):
-        for n in keys:
-            if n >= thresholds[-1]:
-                counts[_leading_digit(n, 10**_K, b)] += 1
-    for i, n in seen.items():
-        counts[digit_at[i]] += n
 
 
 def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
     """First significant digit in base b, or 0 for zero, of the numeral with
     `NUMERAL` groups ``whole``, ``frac``, ``exponent`` ("" when absent): in
-    base 10 the first nonzero digit, else that of x = p/10**k, k the fraction
-    digits less the exponent. For k <= _K the key x * 10**_K is placed in
-    `_threshold_table`, as `scan` places a chunk's keys; `_leading_digit`
-    reads any other x (through `Decimal` past int()'s length limit)."""
+    base 10 the first nonzero digit. Else x = .digits * 10**point (digits past
+    leading zeros) is placed by its text in `_threshold_table`, as `scan` places
+    a chunk's, if x >= 1 has at most _K integer digits or x < 1 at most _K
+    places; `_leading_digit` reads any other x (via `Decimal` past int()'s limit)."""
+    if not (digits := (whole + frac).lstrip("0")):
+        return 0
     if b == 10:
-        return _FIRST_DIGIT.get((whole.lstrip("0") or frac.lstrip("0"))[:1], 0)
+        return int(digits[0])
     try:
-        p = int(whole + frac)
-        k = len(frac) - int(exponent) if exponent else len(frac)
+        point = len(digits) - len(frac) + (_EXPONENTS.get(exponent) or int(exponent or 0))
+        strings, lo, hi, digit_at = _THRESHOLDS.get(b) or _threshold_table(b)
+        if 0 < point <= _K:  # digits, or W padded with zeros, start with W
+            text = digits.ljust(point, "0")
+        elif point <= 0 and len(digits) - point <= _K:
+            text = "." + digits.rjust(len(digits) - point, "0")
+        else:
+            shift = point - len(digits)
+            return _leading_digit(int(digits) * 10 ** max(shift, 0), 10 ** max(-shift, 0), b)
     except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
         from decimal import Decimal
         p, q = Decimal(f"{whole}.{frac}e{exponent or 0}").as_integer_ratio()
         return _leading_digit(p, q, b) if p else 0
-    if k > _K:
-        return _leading_digit(p, 10**k, b) if p else 0
-    thresholds, digit_at = _threshold_table(b)
-    if (n := p * (_SCALE[k] if k >= 0 else 10 ** (_K - k))) < thresholds[-1]:
-        return digit_at[bisect_right(thresholds, n)]
-    return _leading_digit(n, 10**_K, b)
+    return digit_at[bisect_right(strings, text, lo[point], hi[point])]
 
 
 def _joined(batch: list[str]) -> str:
@@ -266,11 +265,11 @@ def scan(
     whole CSV rows, whose match skips the columns before the selected one,
     or the selected fields of _BATCH rows that `csv` split (see `_lines`)
     joined by "\\n". In base 10 the match captures the first significant
-    digit, and the pairs are counted in C. In any other base it captures
-    `NUMERAL`'s groups for a numeral of at most _K integer and _K fraction
-    digits: without an exponent they give the integer key x * 10**_K, which
-    `_count_keys` places in its base's threshold table, and with one
-    `_numeral_digit` reads them through the same table. Any other record is
+    digit, and the pairs are counted in C. In any other base it captures a
+    numeral's integer part W past leading zeros, its text from W on (at most
+    _K digits each side of the point) and any exponent; C places the texts
+    by their length of W in the base's `_threshold_table`, and
+    `_numeral_digit` reads those with an exponent. Any other record is
     matched by `NUMERAL` alone, and read by `_numeral_digit` or skipped and
     counted. ``stream`` is left open. Structural problems raise IngestError
     with the offending line number, and undecodable bytes a
@@ -279,8 +278,10 @@ def scan(
     ten = base == 10
     if ten:  # one group: the first nonzero digit, if any
         numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[")
-    else:  # `NUMERAL`'s three, of at most _K integer and _K fraction digits
-        numeral = NUMERAL.replace("([0-9]*)", f"([0-9]{{0,{_K}}})")
+    else:  # the text from W, W and the exponent
+        strings, lo, hi, digit_at = _THRESHOLDS.get(base) or _threshold_table(base)
+        numeral = (rf"[+-]?(?=\.?[0-9])0*(([1-9][0-9]{{0,{_K - 1}}}|)(?:\.[0-9]{{0,{_K}}})?)"
+                   rf"(?:[eE]([+-]?{_EXPONENT}))?")
     match = re.compile(NUMERAL).fullmatch
 
     def records(skip: str = "", tail: str = "") -> Callable[[str], list]:
@@ -307,16 +308,22 @@ def scan(
                     refused(raw, n)
                 else:
                     counts[int(d or 0)] += n
-        else:
-            matches = findall(text)
-            _count_keys(base, [int(whole + frac) * _SCALE[len(frac)]
-                               for whole, frac, exponent, raw in matches
-                               if not (exponent or raw)], counts)
-            for whole, frac, exponent, raw in matches:
-                if exponent:
-                    counts[_numeral_digit(base, whole, frac, exponent)] += 1
-                elif raw:
-                    refused(raw, 1)
+        elif matches := findall(text):
+            if any(map(itemgetter(2), matches)):  # read those with an exponent alone
+                for t, w, e, raw in matches:
+                    if e:
+                        counts[_numeral_digit(base, w, t[len(w) + 1:], e)] += 1
+                if not (matches := [m for m in matches if not m[2]]):
+                    return
+            lens = [*map(len, map(itemgetter(1), matches))]
+            seen = Counter(map(bisect_right, repeat(strings), map(itemgetter(0), matches),
+                               map(lo.__getitem__, lens), map(hi.__getitem__, lens)))
+            raws = [*filter(None, map(itemgetter(3), matches))]
+            seen[0] -= len(raws)  # the refused records' empty text
+            for i, n in seen.items():
+                counts[digit_at[i]] += n
+            for raw in raws:
+                refused(raw, 1)
 
     # universal newlines for lines, csv's own for csv
     fh = io.TextIOWrapper(stream, encoding="utf-8-sig",

@@ -53,6 +53,9 @@ class DigitHistogram(_Histogram):
     def total(self) -> int:
         return sum(self.counts)
 
+    # tuple's own would count or find whole fields, silently: no getter, AttributeError
+    count, index = property(), property()
+
 
 def tally(digits: Iterable[int], base) -> DigitHistogram:
     """Count leading-digit occurrences from a stream of ints in 1..base-1.

@@ -373,6 +373,14 @@ def _key_edges():
                 "-" + "9" * _K + "." + "9" * _K, "9" * _K + "." + "9" * (_K + 1), "0" * _K)
     yield from (f"2.5e-{_K - 1}", f"-2.5E-{_K}", f"0.0e-{_K}", "3e90", "-7.25E+60",
                 "5e" + "0" * 4400 + "9")
+    # leading zeros; integers on a threshold (49 and 7 in base 7, 40 in base 8,
+    # 50 and 100 in base 5, powers of 2 to the last of _K digits and past it)
+    yield from ("007", "000.5", "0.", "-0", "49", "7.", "-049.0", "1" + "0" * (_K - 1))
+    yield from ("4e1", "5e1", "1e2", "4.9e1")  # on a threshold once the point moves
+    yield from (str(2**k) for k in (0, 1, 10, 63, 106, 107))
+    # fractions of _K places: 1/7 rounded up, and one unit below it
+    sevenths = -(-(10**_K) // 7)
+    yield from (f"0.{sevenths:0{_K}}", f".{sevenths - 1:0{_K}}", f"{sevenths}e-{_K}")
 
 
 KEY_EDGES = list(_key_edges())
@@ -488,28 +496,51 @@ class TestScan:
             scanned(source, '1,2\n"a\nb",3\n7\n', 10)
 
 
+def _neighbours(threshold: str) -> list[str]:
+    """A threshold's text and those one unit below and above in its last
+    digit, as numerals: "48", "49", "50", or ".24", ".25", ".26"."""
+    digits = threshold.lstrip(".")
+    n, width = int(digits), len(digits)
+    if digits == threshold:
+        return [str(m) for m in (n - 1, n, n + 1)]
+    return [f".{m:0{width}}" if m < 10**width else "1" for m in (n - 1, n, n + 1)]
+
+
 class TestThresholdTable:
     @pytest.mark.parametrize("base", range(2, 65))
     def test_keys_match_the_exact_route(self, base):
-        # keys N = t - 1, t, t + 1 at every threshold t, placed by the table
-        # and counted by `_count_keys`, against `_leading_digit` of
-        # N / 10**_K; past the top, the last threshold of the first row of
-        # powers to reach 2**256, keys are read one by one
-        thresholds, digit_at = ingest._threshold_table(base)
-        assert thresholds == sorted(thresholds) and len(digit_at) == len(thresholds) + 1
-        assert thresholds[0] == 1 and thresholds[-base] < 2**256 <= thresholds[-1]
+        # keys: every threshold and its neighbours one unit off in the last digit,
+        # placed as `scan` places them (the slice of W's length), by
+        # `_numeral_digit` (which narrows a fraction's slice by its zeros
+        # after the point) and by `scan` itself, against `_leading_digit`
+        strings, lo, hi, digit_at = ingest._threshold_table(base)
+        assert strings[0] == "." + "0" * (_K - 1) + "1" and len(strings[-1]) == _K
+        assert len(digit_at) > len(strings)
+        assert strings[lo[0]:hi[0]] == [t for t in strings if t[0] == "."]
 
-        def exact(n):
-            return _leading_digit(n, 10**_K, base) if n else 0
+        def place(t):  # L digits of an integer, or -z for z zeros after the point
+            return len(t) if t[0] != "." else len(t.lstrip(".0")) - len(t) + 1
 
-        top = thresholds[-1]
-        inside = sorted({n for t in thresholds for n in (t - 1, t, t + 1) if n < top})
-        assert [digit_at[bisect_right(thresholds, n)] for n in inside] == list(map(exact, inside))
-        past = [top, top + 1, 2**300 + 1, 10**100] + [top * d for d in range(2, base + 1)]
-        counts = [0] * base
-        ingest._count_keys(base, inside + past, counts)
-        want = Counter(map(exact, inside + past))
-        assert counts == [want[d] for d in range(base)]
+        places = Counter(map(place, strings))
+        for P in [*range(1 - _K, 0), *range(1, _K + 1)]:
+            part = strings[lo[P]:hi[P]]
+            assert part == sorted(part) and {*map(place, part)} == {P} and len(part) == places[P]
+
+        numerals = sorted({n for t in strings for n in _neighbours(t)})
+
+        def exact(numeral):
+            value = Fraction(numeral)
+            return _leading_digit(value.numerator, value.denominator, base) if value else 0
+
+        want = [*map(exact, numerals)]
+        lens = [len(n.partition(".")[0].lstrip("0")) for n in numerals]
+        assert [digit_at[bisect_right(strings, n.lstrip("0"), lo[L], hi[L])]
+                for n, L in zip(numerals, lens)] == want
+        assert [ingest._numeral_digit(base, *re.fullmatch(NUMERAL, n).groups(""))
+                for n in numerals] == want
+        counts, _ = scanned(DatasetSource(format="lines"), "\n".join(numerals), base)
+        seen = Counter(want)
+        assert counts == tuple(seen[d] for d in range(1, base))
 
 
 def _peak_scan(source, path, base) -> int:

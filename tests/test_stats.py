@@ -61,6 +61,15 @@ class TestTally:
         assert hist.total == 13
         assert hist.counts[0] / hist.total == pytest.approx(0.308, abs=0.001)
 
+    @pytest.mark.parametrize("name", ["count", "index"])
+    def test_tuple_count_and_index_are_refused(self, name):
+        # tuple's own would look for a whole field: .count(1) answered 0 here
+        hist = tally(POW2_FIRST13_DIGITS, 10)
+        assert not hasattr(hist, name)
+        with pytest.raises(AttributeError):
+            getattr(hist, name)(1)
+        assert hist.counts[0] == 4 and hist == (10, hist.counts)
+
     def test_empty_stream(self):
         hist = tally([], 10)
         assert hist.counts == (0,) * 9 and hist.total == 0

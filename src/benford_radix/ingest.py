@@ -23,6 +23,7 @@ import io
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
@@ -33,10 +34,7 @@ _CHUNK, _BATCH = 8192, 256  # characters read at a time; CSV rows that csv split
 #: Most integer digits, past leading zeros, and most fraction digits of a
 #: numeral that `scan` places by its text in a base other than 10.
 _K = 32
-_THRESHOLDS: dict[int, tuple[list[str], list[int], list[int], list[int]]] = {}
-#: Exponents of at most two digits ("5", "-05", "+12") by their text: cheaper than int().
-_EXPONENTS = {f"{sign}{n:0{w}}": -n if sign == "-" else n
-              for sign in ("", "+", "-") for w in (1, 2) for n in range(100)}
+_EXPONENTS = {str(n): n for n in range(-99, 100)}  # "-12" -> -12, cheaper than int()
 
 #: Significant digits an exponent may have (|e| <= 9999): that is past any
 #: measured quantity, while 10**(10**6) would cost seconds per record.
@@ -158,8 +156,9 @@ def _column(source: DatasetSource, reader: Iterator[list[str]]) -> tuple[int, li
     return int(column), None if source.skip_header else first
 
 
+@lru_cache(maxsize=None)
 def _threshold_table(b: int) -> tuple[list[str], list[int], list[int], list[int]]:
-    """(strings, lo, hi, digit_at) of base b, kept in _THRESHOLDS[b].
+    """(strings, lo, hi, digit_at) of base b, built on first use.
 
     ``strings`` are the thresholds d * b**e, d = 1..b-1, ascending, from the
     largest e with b**e <= 10**-_K to the last below 10**_K: from 1 on as
@@ -179,16 +178,17 @@ def _threshold_table(b: int) -> tuple[list[str], list[int], list[int], list[int]
     top, powers = 10**_K, [1]
     while powers[-1] < top:
         powers.append(powers[-1] * b)
-    fractions = [-(-d * top // p) for p in powers[:0:-1] for d in range(1, b)]  # * 10**-_K
+    minus = [-d * top for d in range(1, b)]  # -(m // p): d * 10**_K / p rounded up
+    fractions = [-(m // p) for p in powers[:0:-1] for m in minus]  # * 10**-_K
     integers = [n for p in powers[:-1] for d in range(1, b) if (n := d * p) < top]
-    strings = [f".{n:0{_K}}".rstrip("0") for n in fractions] + [*map(str, integers)]
-    # first[i]: where place P = i + 1 - _K starts (-z for a fraction, L for an integer)
-    first = [bisect_left(fractions, 10 ** (_K + P - 1)) for P in range(1 - _K, 1)]
-    first += [len(fractions) + bisect_left(integers, 10 ** (L - 1)) for L in range(1, _K + 2)]
-    lo, hi = first[_K - 1:-1] + first[:_K - 1], first[_K:] + first[1:_K]
-    lo[0] = 0  # no integer digits: any fraction
-    table = _THRESHOLDS[b] = strings, lo, hi, [0] + [*range(1, b)] * (2 * len(powers))
-    return table
+    strings = ["." + str(n).zfill(_K).rstrip("0") for n in fractions] + [*map(str, integers)]
+    # starts[i]: the first threshold >= 10**(i - _K)
+    starts = [*(bisect_left(fractions, 10**i) for i in range(_K)),
+              *(len(fractions) + bisect_left(integers, 10**L) for L in range(_K + 1))]
+    places = [*range(_K + 1), *range(1 - _K, 0)]  # lo[P]:hi[P] hold those in [10**(P-1), 10**P)
+    lo = [starts[_K + P - 1] if P else 0 for P in places]
+    hi = [starts[_K + P] for P in places]
+    return strings, lo, hi, [0] + [*range(1, b)] * (2 * len(powers))
 
 
 def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
@@ -204,7 +204,6 @@ def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
         return int(digits[0])
     try:
         point = len(digits) - len(frac) + (_EXPONENTS.get(exponent) or int(exponent or 0))
-        strings, lo, hi, digit_at = _THRESHOLDS.get(b) or _threshold_table(b)
         if 0 < point <= _K:  # digits, or W padded with zeros, start with W
             text = digits.ljust(point, "0")
         elif point <= 0 and len(digits) - point <= _K:
@@ -216,6 +215,7 @@ def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
         from decimal import Decimal
         p, q = Decimal(f"{whole}.{frac}e{exponent or 0}").as_integer_ratio()
         return _leading_digit(p, q, b) if p else 0
+    strings, lo, hi, digit_at = _threshold_table(b)
     return digit_at[bisect_right(strings, text, lo[point], hi[point])]
 
 
@@ -279,7 +279,7 @@ def scan(
     if ten:  # one group: the first nonzero digit, if any
         numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[")
     else:  # the text from W, W and the exponent
-        strings, lo, hi, digit_at = _THRESHOLDS.get(base) or _threshold_table(base)
+        strings, lo, hi, digit_at = _threshold_table(base)
         numeral = (rf"[+-]?(?=\.?[0-9])0*(([1-9][0-9]{{0,{_K - 1}}}|)(?:\.[0-9]{{0,{_K}}})?)"
                    rf"(?:[eE]([+-]?{_EXPONENT}))?")
     match = re.compile(NUMERAL).fullmatch

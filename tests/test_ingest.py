@@ -514,6 +514,7 @@ class TestThresholdTable:
         # `_numeral_digit` (which narrows a fraction's slice by its zeros
         # after the point) and by `scan` itself, against `_leading_digit`
         strings, lo, hi, digit_at = ingest._threshold_table(base)
+        assert ingest._threshold_table(base)[0] is strings  # built once
         assert strings[0] == "." + "0" * (_K - 1) + "1" and len(strings[-1]) == _K
         assert len(digit_at) > len(strings)
         assert strings[lo[0]:hi[0]] == [t for t in strings if t[0] == "."]

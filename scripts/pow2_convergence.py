@@ -10,7 +10,7 @@ import argparse
 
 from benford_radix.model import benford_pmf
 from benford_radix.sequences import SequenceSpec, leading_digit_counts
-from benford_radix.stats import DigitHistogram, chi_square_fit
+from benford_radix.stats import chi_square_fit
 
 
 def main() -> None:
@@ -21,15 +21,19 @@ def main() -> None:
         help="comma-separated sample sizes",
     )
     args = parser.parse_args()
-    sizes = sorted(int(s) for s in args.sizes.split(","))
-
-    pmf = benford_pmf(args.base)
+    try:  # a bad base or size is refused before any row is printed
+        sizes = sorted(int(s) for s in args.sizes.split(","))
+        pmf = benford_pmf(args.base)
+        reports = [
+            (n, chi_square_fit(leading_digit_counts(SequenceSpec.powers(2, n), args.base), pmf))
+            for n in sizes
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"{'N':>8}  {'MAD':>10}  {'max dev':>10}  {'chi2':>10}  "
           f"{'p-value':>9}  verdict")
-    for n in sizes:
-        counts = leading_digit_counts(SequenceSpec.powers(2, n), args.base)
-        report = chi_square_fit(DigitHistogram(args.base, counts), pmf)
+    for n, report in reports:
         print(f"{n:>8}  {report.mad:>10.6f}  {report.max_deviation:>10.6f}  "
               f"{report.statistic_chi2:>10.4f}  {report.p_value:>9.4f}  "
               f"{report.verdict}")

@@ -146,7 +146,7 @@ def _cmd_table2(args) -> ReportDocument:
 def _cmd_analyze(args) -> ReportDocument:
     from .ingest import DatasetSource, IngestStats, scan  # only analyze reads datasets
     from .model import benford_pmf
-    from .stats import DigitHistogram, chi_square_fit
+    from .stats import chi_square_fit
 
     base = check_base(args.base)
     source = DatasetSource(args.format, args.column, args.skip_header)
@@ -156,18 +156,18 @@ def _cmd_analyze(args) -> ReportDocument:
     else:
         with open(args.path, "rb") as fh:
             counts = scan(source, fh, base, stats)
-    hist = DigitHistogram(base, counts)
-    zeros = stats.records - hist.total
+    total = sum(counts)
+    zeros = stats.records - total
     warnings = stats.warnings()
     if zeros:
         warnings.append(f"skipped {zeros} zero value(s)")
     fit = None
-    if hist.total == 0:
+    if total == 0:
         warnings.append("no usable records; nothing to fit")
     elif base == 2:
         warnings.append("base 2 has a single digit cell; chi-square fit undefined")
     else:
-        fit = chi_square_fit(hist, benford_pmf(base))
+        fit = chi_square_fit(counts, benford_pmf(base))
         warnings.extend(fit.warnings)
     return ReportDocument(
         mode="analyze",

@@ -1,19 +1,17 @@
 """Exact extraction of first significant digits in arbitrary finite bases.
 
 Everything in this module is integer arithmetic; there is deliberately no
-floating point in any reported digit, because these functions serve as the
+floating point in any reported digit, because `_leading_digit` is the
 correctness reference for the faster logarithmic paths elsewhere in the
-package. (A float only guesses where to start an exact search.)
-
-Decimal numerals are read by `ingest`, which holds their grammar and their
-digit engine; `leading_digit_decimal_string` loads it on first use.
+package. (A float only guesses where to start an exact search.) It is also
+their one exact engine: `ingest` reads decimal numerals with it, and
+`logdigits` resolves the terms its streams cannot certify.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import re
 
 MIN_BASE = 2
 MAX_BASE = 64
@@ -21,17 +19,6 @@ MAX_BASE = 64
 #: Symbolic marker for the degenerate "every number is its own symbol" system.
 #: Only table rendering accepts it; every digit-extraction routine rejects it.
 INFINITE = float("inf")
-
-class NoSignificantDigit(ValueError):
-    """The value is zero and therefore has no significant digit."""
-
-
-class FiniteBaseRequired(ValueError):
-    """An operation that needs a finite base received the infinite one."""
-
-
-class NumeralParseError(ValueError):
-    """The input string is not a decimal numeral."""
 
 
 def as_exact_int(value, what: str) -> int:
@@ -45,23 +32,13 @@ def as_exact_int(value, what: str) -> int:
 def check_base(base) -> int:
     """Validate a radix and return it as a plain int.
 
-    Raises FiniteBaseRequired for the INFINITE marker and ValueError for
-    anything outside 2..64.
+    Raises ValueError for anything but an exact integer in 2..64, the
+    INFINITE marker included.
     """
-    if isinstance(base, float) and math.isinf(base):
-        raise FiniteBaseRequired("finite base required")
     b = as_exact_int(base, "base")
     if not MIN_BASE <= b <= MAX_BASE:
         raise ValueError(f"base must be between {MIN_BASE} and {MAX_BASE}, got {b}")
     return b
-
-
-def _checked_magnitude(n) -> int:
-    """Return |n| as an int >= 1, raising for zero or non-integers."""
-    m = abs(as_exact_int(n, "value"))
-    if m == 0:
-        raise NoSignificantDigit("no significant digit: value is zero")
-    return m
 
 
 def _leading_digit(p: int, q: int, b: int) -> int:
@@ -81,37 +58,3 @@ def _leading_digit(p: int, q: int, b: int) -> int:
     while w * b <= n:
         w *= b
     return n // w if p >= q else p * w * b // q
-
-
-def leading_digit_int(n, base) -> int:
-    """First significant digit of the integer n in ``base``.
-
-    Sign is ignored; zero has no significant digit and raises.
-    """
-    b = check_base(base)
-    return _leading_digit(_checked_magnitude(n), 1, b)
-
-
-def leading_digit_fraction(numerator, denominator, base) -> int:
-    """First significant digit of the positive rational |numerator|/denominator."""
-    b = check_base(base)
-    q = as_exact_int(denominator, "denominator")
-    if q <= 0:
-        raise ValueError(f"denominator must be positive, got {denominator!r}")
-    return _leading_digit(_checked_magnitude(numerator), q, b)
-
-
-def leading_digit_decimal_string(s: str, base=10) -> int:
-    """First significant digit of a decimal numeral string, read in ``base``.
-
-    The stripped string must match `ingest.NUMERAL`; the digit comes from
-    `ingest._numeral_digit`, and zero raises NoSignificantDigit.
-    """
-    from .ingest import NUMERAL, _numeral_digit  # the numeral reader, loaded on first use
-
-    m = re.fullmatch(NUMERAL, s.strip())
-    if m is None:
-        raise NumeralParseError(f"not a decimal numeral: {s!r}")
-    if d := _numeral_digit(check_base(base), *m.groups("")):
-        return d
-    raise NoSignificantDigit(f"no significant digit: {s!r} is zero")

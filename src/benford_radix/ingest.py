@@ -301,7 +301,7 @@ def scan(
         else:
             stats.skipped_blank += n
 
-    def tally(text: str, findall: Callable[[str], list], refused) -> None:
+    def count_chunk(text: str, findall: Callable[[str], list], refused) -> None:
         if ten:  # few distinct (digit, raw) pairs: count them in C first
             for (d, raw), n in Counter(findall(text)).items():
                 if raw:
@@ -332,7 +332,7 @@ def scan(
         if source.format == "lines":
             findall = records()
             for text in _lines(fh):
-                tally(text, findall, read)
+                count_chunk(text, findall, read)
         else:
             import csv  # loaded only by the datasets that use it
 
@@ -347,14 +347,14 @@ def scan(
                 findall = records(r"[^,\n]*," * index, r"(?=[,\n])[^\n]*")
                 for text in _lines(fh, rest, csv.field_size_limit()):
                     try:
-                        tally(text, findall, read_row)
+                        count_chunk(text, findall, read_row)
                     except IndexError:  # csv.reader splits ``text`` alike, and names the line
                         rest = [text]
                         break
                     done += text.count("\n")
                 reader = csv.reader(chain(io.StringIO("".join(rest), newline=""), fh))
                 while fields := [row[index] if row else "" for row in islice(reader, _BATCH)]:
-                    tally(_joined(fields), records(), read)
+                    count_chunk(_joined(fields), records(), read)
             except IndexError:  # the row just read is too short
                 raise IngestError(f"row at line {done + reader.line_num} "
                                   f"has no column {source.column!r}") from None

@@ -1,11 +1,11 @@
-"""The generalized first-digit law P_b(d) = log_b(1 + 1/d) and its limits."""
+"""The generalized first-digit law P_b(d) = log_b(1 + 1/d)."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .digits import as_exact_int, check_base
+from .digits import check_base
 
 
 class BenfordPmf(NamedTuple):
@@ -46,14 +46,3 @@ def leading_one_probability(base) -> float:
     """P(first digit = 1) = log_base(2); the head of benford_pmf(base)."""
     b = check_base(base)
     return 1.0 / math.log2(b)
-
-
-def limit_leading_one_probability(sample_size: int) -> float:
-    """Leading-"1" frequency among N terms of a doubling sequence when every
-    natural number has its own symbol: the symbol 1 appears once, so 1/N,
-    by exact integer division (0.0 or a subnormal past the float range).
-    """
-    n = as_exact_int(sample_size, "sample size")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {sample_size}")
-    return 1 / n

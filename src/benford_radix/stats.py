@@ -1,10 +1,10 @@
 """Leading-digit histograms, goodness-of-fit, and the multi-base summary table.
 
-A histogram is an immutable tuple of counts per digit, from `tally` or
-straight from a counting engine. The chi-square p-value is the closed form
-of the regularized upper incomplete gamma function at integer degrees of
-freedom: a finite Poisson sum for even df, erfc plus a finite sum for odd
-df.
+A histogram is a plain tuple of the counts of digits 1..base-1, as
+`sequences.leading_digit_counts` and `ingest.scan` return it. The
+chi-square p-value is the closed form of the regularized upper incomplete
+gamma function at integer degrees of freedom: a finite Poisson sum for even
+df, erfc plus a finite sum for odd df.
 """
 
 from __future__ import annotations
@@ -13,65 +13,11 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .digits import INFINITE, as_exact_int, check_base
-from .model import BenfordPmf, leading_one_probability, limit_leading_one_probability
+from .model import BenfordPmf, leading_one_probability
 from .reference import (
     POW2_LEADING_ONE_REFERENCE,
     POW2_LEADING_ONE_REFERENCE_INFINITE,
 )
-
-
-class RadixMismatch(ValueError):
-    """A histogram was fitted against a PMF of another base."""
-
-
-class EmptyHistogram(ValueError):
-    """The operation needs at least one observation."""
-
-
-class _Histogram(NamedTuple):
-    base: int
-    counts: tuple[int, ...]
-
-
-class DigitHistogram(_Histogram):
-    """Occurrence counts of leading digits 1..base-1.
-
-    ``counts[i]`` is the count for digit i+1.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, base: int, counts: tuple[int, ...]):
-        check_base(base)
-        if len(counts) != base - 1:
-            raise ValueError(f"need {base - 1} counts for base {base}, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        return super().__new__(cls, base, counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    # tuple's own would count or find whole fields, silently: no getter, AttributeError
-    count, index = property(), property()
-
-
-def tally(digits: Iterable[int], base) -> DigitHistogram:
-    """Count leading-digit occurrences from a stream of ints in 1..base-1.
-
-    A plain int costs one range check; anything else must be an exact
-    integer in range.
-    """
-    b = check_base(base)
-    counts = [0] * b  # indexed by the digit; counts[0] stays 0
-    for d in digits:
-        if not (type(d) is int and 0 < d < b):
-            d = as_exact_int(d, "digit")
-            if not 0 < d < b:
-                raise ValueError(f"digit {d} out of range 1..{b - 1} for base {b}")
-        counts[d] += 1
-    return DigitHistogram(base=b, counts=tuple(counts[1:]))
 
 
 # --- chi-square machinery ---------------------------------------------------
@@ -134,37 +80,27 @@ def _chi_square_statistic(counts: Sequence[int], probs: Sequence[float]) -> floa
     return sum((o - n * p) ** 2 / (n * p) for o, p in zip(counts, probs))
 
 
-def chi_square_fit(observed: DigitHistogram, expected: BenfordPmf) -> FitReport:
-    """Chi-square and MAD conformity of observed digit counts to a PMF.
+def chi_square_fit(counts: Sequence[int], expected: BenfordPmf) -> FitReport:
+    """Chi-square and MAD conformity of the digit counts of a nonempty
+    histogram to the PMF of its base.
 
     Degrees of freedom are (base-1) - 1, so base 2 (a single cell) has no
-    testable fit and raises. Expected counts below SMALL_CELL_EXPECTED are
-    reported as a warning, not an error, so small samples still compute.
+    testable fit and `chi_square_p_value` raises. Expected counts below
+    SMALL_CELL_EXPECTED are reported as a warning, not an error, so small
+    samples still compute.
     """
-    if observed.base != expected.base:
-        raise RadixMismatch(
-            f"histogram base {observed.base} does not match pmf base {expected.base}"
-        )
-    n = observed.total
-    if n == 0:
-        raise EmptyHistogram("cannot fit an empty histogram")
-    df = (observed.base - 1) - 1
-    if df < 1:
-        raise ValueError(
-            f"base {observed.base} leaves no degrees of freedom for a chi-square fit"
-        )
-    statistic = _chi_square_statistic(observed.counts, expected.probs)
+    n = sum(counts)
+    df = (expected.base - 1) - 1
+    statistic = _chi_square_statistic(counts, expected.probs)
     p_value = chi_square_p_value(statistic, df)
-    deviations = [
-        abs(c / n - p) for c, p in zip(observed.counts, expected.probs)
-    ]
+    deviations = [abs(c / n - p) for c, p in zip(counts, expected.probs)]
     mad = sum(deviations) / len(deviations)
     max_deviation = max(deviations)
     warnings = []
     small = sum(1 for p in expected.probs if n * p < SMALL_CELL_EXPECTED)
     if small:
         warnings.append(
-            f"{small} of {observed.base - 1} expected counts are below "
+            f"{small} of {expected.base - 1} expected counts are below "
             f"{SMALL_CELL_EXPECTED:g}; chi-square p-value is approximate"
         )
     return FitReport(
@@ -228,7 +164,9 @@ def leading_one_by_base(
         LeadingOneRow(
             base=INFINITE,
             sample_size=n,
-            empirical_p1=limit_leading_one_probability(n),
+            # one symbol per number: only the first term, 1, reads "1" (0.0 past
+            # the float range, by exact integer division)
+            empirical_p1=1 / n,
             asymptotic_p1=0.0,
             reference_p1=(
                 POW2_LEADING_ONE_REFERENCE_INFINITE if has_reference else None

@@ -6,7 +6,14 @@ Fraction scaling instead of integer ceiling tricks, schoolbook doubling
 instead of pow().
 """
 
+from collections import Counter
 from fractions import Fraction
+
+
+def digit_counts(digits, base: int) -> tuple[int, ...]:
+    """Counts of the digits 1..base-1 in a stream of digits, by a Counter."""
+    seen = Counter(digits)
+    return tuple(seen[d] for d in range(1, base))
 
 
 def expansion_by_division(n: int, base: int) -> list[int]:

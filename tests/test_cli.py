@@ -15,10 +15,10 @@ import pytest
 import test_documents
 from benford_radix import cli, logdigits, sequences
 from benford_radix.cli import main
-from benford_radix.digits import leading_digit_decimal_string, leading_digit_fraction
-from benford_radix.stats import tally
+from benford_radix.digits import _leading_digit
 
-from oracles import leading_digit_by_fraction_scaling
+from oracles import digit_counts, leading_digit_by_fraction_scaling
+from test_digits import numeral_digit
 
 POW2_FIRST13_TEXT = "1 2 4 8 1 3 6 1 2 5 1 2 4\n"
 
@@ -59,7 +59,7 @@ def run_bounded(argv, timeout):
 
 def exact_counts(spec, base, top=None):
     """`sequences.leading_digit_counts` by a tally of the big-integer walk."""
-    return tally(sequences.iter_leading_digits_exact(spec, base), base).counts[:top]
+    return digit_counts(sequences.iter_leading_digits_exact(spec, base), base)[:top]
 
 
 class TestSequenceCommand:
@@ -360,8 +360,8 @@ class TestAnalyzeCommand:
         data.write_text("\n".join(numerals) + "\n", encoding="utf-8")
         _, out, _ = run_cli(capsys, "analyze", str(data), "--json")
         doc = json.loads(out)
-        direct = tally([leading_digit_decimal_string(s, 10) for s in numerals], 10)
-        assert doc["histogram"]["counts"] == list(direct.counts)
+        direct = digit_counts([numeral_digit(s, 10) for s in numerals], 10)
+        assert doc["histogram"]["counts"] == list(direct)
 
     def test_non_decimal_base_uses_exact_rationals(self, capsys, tmp_path):
         data = tmp_path / "vals.txt"
@@ -489,7 +489,7 @@ class TestAnalyzeCommand:
         assert code == 0, err
         expected = [0] * (base - 1)
         p = int(Decimal(body))  # Decimal reads past int()'s digit limit
-        for d in (leading_digit_fraction(p, 1, base), leading_digit_fraction(1, 10**9999, base)):
+        for d in (_leading_digit(p, 1, base), _leading_digit(1, 10**9999, base)):
             expected[d - 1] += 1
         assert json.loads(out)["histogram"]["counts"] == expected
         assert elapsed < 5  # about 0.05 s; the bound only catches a blow-up
@@ -557,17 +557,32 @@ class TestRoundTrip:
         )
 
 
+def run_script(*argv):
+    script = Path(cli.__file__).parents[2] / "scripts" / "pow2_convergence.py"
+    return subprocess.run([sys.executable, str(script), *argv],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+
+
 class TestScripts:
     def test_pow2_convergence_runs(self):
-        script = Path(cli.__file__).parents[2] / "scripts" / "pow2_convergence.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--sizes", "100,1000"],
-            env=src_env(), capture_output=True, text=True, timeout=60,
-        )
+        proc = run_script("--sizes", "100,1000")
         assert proc.returncode == 0, proc.stderr
         header, *rows = proc.stdout.splitlines()
         assert header.split()[:3] == ["N", "MAD", "max"]
         assert [row.split()[0] for row in rows] == ["100", "1000"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--base", "2"], "degrees of freedom must be >= 1, got 0"),
+        (["--base", "65"], "base must be between 2 and 64, got 65"),
+        (["--sizes", "100,0"], "length must be an integer >= 1, got 0"),
+    ], ids=["base2", "base65", "size0"])
+    def test_pow2_convergence_refuses_bad_input(self, argv, message):
+        # argparse's refusal: its usage line, then one error line, no traceback
+        proc = run_script(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: pow2_convergence.py")
+        assert error == f"pow2_convergence.py: error: {message}"
 
 
 class TestCliContract:

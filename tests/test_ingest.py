@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford_radix import ingest
-from benford_radix.digits import _leading_digit, leading_digit_fraction
+from benford_radix.digits import _leading_digit
 from benford_radix.ingest import _K, NUMERAL, DatasetSource, IngestError, IngestStats, scan
-from benford_radix.stats import tally
 
-from oracles import leading_digit_by_fraction_scaling
+from oracles import digit_counts, leading_digit_by_fraction_scaling
 from test_digits import int_str_digits
 
 
@@ -28,7 +27,7 @@ def scanned(source, text, base=10):
 
 
 def counts_of(digits, base=10):
-    return tally(digits, base).counts
+    return digit_counts(digits, base)
 
 
 class TestDatasetSource:
@@ -86,7 +85,7 @@ class TestPlainLines:
         # read as the exact values 25/2, 312/10**5, 7 and 1/2, in any base
         text = "0012.500\n-0.00312\n+7\n.5\n"
         for base in (10, 7):
-            want = [leading_digit_fraction(p, q, base)
+            want = [_leading_digit(p, q, base)
                     for p, q in ((25, 2), (312, 10**5), (7, 1), (1, 2))]
             counts, stats = scanned(DatasetSource(format="lines"), text, base)
             assert counts == counts_of(want, base) and stats == IngestStats(4)

@@ -24,8 +24,8 @@ def main() -> None:
     try:  # a bad base or size is refused before any row is printed
         sizes = sorted(int(s) for s in args.sizes.split(","))
         pmf = benford_pmf(args.base)
-        reports = [
-            (n, chi_square_fit(leading_digit_counts(SequenceSpec.powers(2, n), args.base), pmf))
+        fits = [
+            (n, chi_square_fit(leading_digit_counts(SequenceSpec.powers(2, n), args.base), pmf)[0])
             for n in sizes
         ]
     except ValueError as exc:
@@ -33,10 +33,9 @@ def main() -> None:
 
     print(f"{'N':>8}  {'MAD':>10}  {'max dev':>10}  {'chi2':>10}  "
           f"{'p-value':>9}  verdict")
-    for n, report in reports:
-        print(f"{n:>8}  {report.mad:>10.6f}  {report.max_deviation:>10.6f}  "
-              f"{report.statistic_chi2:>10.4f}  {report.p_value:>9.4f}  "
-              f"{report.verdict}")
+    for n, fit in fits:
+        print(f"{n:>8}  {fit['mad']:>10.6f}  {fit['max_deviation']:>10.6f}  "
+              f"{fit['chi2']:>10.4f}  {fit['p_value']:>9.4f}  {fit['verdict']}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import sys
 from itertools import islice
 
 from .digits import check_base
-from .report import ReportDocument, json_base, render_csv, render_json, render_text
+from .report import ReportDocument, render_csv, render_json, render_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,31 +55,17 @@ def _histogram_payload(base: int, counts: tuple[int, ...]) -> dict:
     return {"base": base, "total": sum(counts), "counts": list(counts)}
 
 
-def _fit_payload(fit: FitReport | None) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "chi2": fit.statistic_chi2,
-        "df": fit.degrees_of_freedom,
-        "p_value": fit.p_value,
-        "mad": fit.mad,
-        "max_deviation": fit.max_deviation,
-        "verdict": fit.verdict,
-    }
-
-
 def _law_doc(mode: str, base: int, p_key: str) -> ReportDocument:
     """The first-digit law of ``base``; base 10 adds the 1938 reference column."""
     from .model import benford_pmf  # loaded only by the commands that use it
     from .reference import BENFORD_1938_FIRST_DIGIT
 
-    pmf = benford_pmf(base)
     rows = []
-    for d in pmf.digits:
-        row = {"digit": d, p_key: pmf.prob(d)}
+    for d, p in enumerate(benford_pmf(base), 1):
+        row = {"digit": d, p_key: p}
         if base == 10:
             row["reference"] = BENFORD_1938_FIRST_DIGIT[d]
-            row["delta"] = pmf.prob(d) - BENFORD_1938_FIRST_DIGIT[d]
+            row["delta"] = p - BENFORD_1938_FIRST_DIGIT[d]
         rows.append(row)
     return ReportDocument(mode=mode, base=base, payload={"rows": rows})
 
@@ -126,21 +112,7 @@ def _cmd_table2(args) -> ReportDocument:
 
     bases = _parse_bases(args.bases)
     rows = leading_one_by_base(bases, args.n, sequence_base=args.seq_base)
-    payload_rows = [
-        {
-            "base": json_base(r.base),
-            "n": r.sample_size,
-            "empirical_p1": r.empirical_p1,
-            "asymptotic_p1": r.asymptotic_p1,
-            "reference_p1": r.reference_p1,
-        }
-        for r in rows
-    ]
-    return ReportDocument(
-        mode="table2",
-        bases=[r.base for r in rows],
-        payload={"rows": payload_rows},
-    )
+    return ReportDocument(mode="table2", bases=[r["base"] for r in rows], payload={"rows": rows})
 
 
 def _cmd_analyze(args) -> ReportDocument:
@@ -167,12 +139,12 @@ def _cmd_analyze(args) -> ReportDocument:
     elif base == 2:
         warnings.append("base 2 has a single digit cell; chi-square fit undefined")
     else:
-        fit = chi_square_fit(counts, benford_pmf(base))
-        warnings.extend(fit.warnings)
+        fit, fit_warnings = chi_square_fit(counts, benford_pmf(base))
+        warnings.extend(fit_warnings)
     return ReportDocument(
         mode="analyze",
         base=base,
-        payload={"histogram": _histogram_payload(base, counts), "fit": _fit_payload(fit)},
+        payload={"histogram": _histogram_payload(base, counts), "fit": fit},
         warnings=warnings,
     )
 

@@ -16,10 +16,6 @@ import operator
 MIN_BASE = 2
 MAX_BASE = 64
 
-#: Symbolic marker for the degenerate "every number is its own symbol" system.
-#: Only table rendering accepts it; every digit-extraction routine rejects it.
-INFINITE = float("inf")
-
 
 def as_exact_int(value, what: str) -> int:
     """Coerce to int without ever truncating; floats and the like are refused."""
@@ -33,7 +29,7 @@ def check_base(base) -> int:
     """Validate a radix and return it as a plain int.
 
     Raises ValueError for anything but an exact integer in 2..64, the
-    INFINITE marker included.
+    infinite system's float("inf") included.
     """
     b = as_exact_int(base, "base")
     if not MIN_BASE <= b <= MAX_BASE:

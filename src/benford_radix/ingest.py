@@ -22,11 +22,11 @@ import contextlib
 import io
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
 from .digits import _leading_digit
 
@@ -66,13 +66,7 @@ class _Undecodable(UnicodeDecodeError):
         return f"'{self.encoding}' codec can't decode {bad!r}{at}: {self.reason}"
 
 
-class _Source(NamedTuple):
-    format: str
-    column: int | str | None
-    skip_header: bool
-
-
-class DatasetSource(_Source):
+class DatasetSource(namedtuple("DatasetSource", "format column skip_header")):
     """How to read records: plain lines, or one column of a CSV.
 
     ``column`` selects by 0-based index (int) or by header name (str); it is
@@ -229,7 +223,7 @@ def _joined(batch: list[str]) -> str:
     return text
 
 
-def _lines(fh: TextIO, rest: list[str] | None = None, limit: int = 0) -> Iterator[str]:
+def _lines(fh: io.TextIOBase, rest: list[str] | None = None, limit: int = 0) -> Iterator[str]:
     """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n".
 
     Given ``rest``, ``fh`` is CSV text read with newline="", and the lines
@@ -257,7 +251,7 @@ def _lines(fh: TextIO, rest: list[str] | None = None, limit: int = 0) -> Iterato
 
 
 def scan(
-    source: DatasetSource, stream: BinaryIO, base: int, stats: IngestStats
+    source: DatasetSource, stream: io.BufferedIOBase, base: int, stats: IngestStats
 ) -> tuple[int, ...]:
     """Counts of the first digits 1..base-1 of the usable records of the
     byte ``stream``, with ``stats`` filled in. Every record is parsed once,

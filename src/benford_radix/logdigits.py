@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, partial
 from itertools import cycle, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .digits import _leading_digit, as_exact_int, check_base
 
@@ -94,7 +94,6 @@ _POWER_EXACT_PREFIX = 64
 #: prefix (`fibonacci_counts`).
 _FIB_EXACT_PREFIX = 200
 
-_T = TypeVar("_T")
 #: at(bits, lo, hi) -> (s, step, err): terms lo..hi-1 of a kind, term j read
 #: at s + (j - lo) * step mod 2**bits within err units (`_power_line`,
 #: `_fibonacci_line`).
@@ -200,7 +199,7 @@ def _ceiling(bits: int, last: int) -> int:
     return bits
 
 
-def _escalate(bits: int, last: int, certify: Callable[[int], _T], what: str) -> _T:
+def _escalate(bits: int, last: int, certify: Callable[[int], object], what: str) -> object:
     """certify(bits) at ``bits``, then at twice the bits until it is truthy
     (Ziv's strategy), up to `_ceiling`, past which a ValueError is raised.
     A term's bound grows like its index n and a histogram holds n terms, so
@@ -476,11 +475,8 @@ def factorial_digits(n: int, b: int) -> Iterator[int]:
     return _mantissa_digits(n, b, LOG_FRACTIONAL_BITS, lambda m: _resolve_factorial(m, b))
 
 
-class FastDigit(NamedTuple):
-    """Result of the logarithmic path: a digit plus whether it is certified."""
-
-    digit: int
-    certain: bool
+#: Result of the logarithmic path: a digit plus whether it is certified.
+FastDigit = namedtuple("FastDigit", "digit certain")
 
 
 def leading_digit_power_fast(a: int, k: int, base) -> FastDigit:

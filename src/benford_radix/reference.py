@@ -17,9 +17,11 @@ BENFORD_1938_FIRST_DIGIT = {
 }
 
 #: Two-decimal reference values for the frequency of leading digit 1 in the
-#: doubling sequence 1, 2, 4, 8, ... written in bases 2 through 12. Reported
-#: alongside computed values; only the endpoints are reproducible from the
-#: stated information, so intermediate rows are displayed, not asserted.
+#: doubling sequence 1, 2, 4, 8, ... written in bases 2 through 12, and in
+#: the infinite "own symbol per number" system, keyed as `table2` prints
+#: its base. Reported alongside computed values; only the endpoints are
+#: reproducible from the stated information, so intermediate rows are
+#: displayed, not asserted.
 POW2_LEADING_ONE_REFERENCE = {
     2: 1.00,
     3: 0.70,
@@ -32,7 +34,5 @@ POW2_LEADING_ONE_REFERENCE = {
     10: 0.31,
     11: 0.25,
     12: 0.20,
+    "inf": 0.00,
 }
-
-#: Reference value for the infinite "own symbol per number" system.
-POW2_LEADING_ONE_REFERENCE_INFINITE = 0.00

@@ -20,23 +20,18 @@ from __future__ import annotations
 import io
 import math
 from types import SimpleNamespace
-from typing import Any
 
 
 class ReportDocument(SimpleNamespace):
-    """One command's result; ``base`` is an int, INFINITE, or None when ``bases`` is used."""
+    """One command's result, as the documents print it: ``base`` is an int,
+    or None when ``bases`` lists the table's bases (an int each, or "inf"
+    for the infinite-system row)."""
 
-    def __init__(self, mode: str, base: Any = None, bases: list | None = None,
-                 payload: dict[str, Any] | None = None, warnings: list[str] | None = None):
+    def __init__(self, mode: str, base: int | None = None, bases: list | None = None,
+                 payload: dict | None = None, warnings: list[str] | None = None):
         super().__init__(mode=mode, base=base, bases=bases,
                          payload={} if payload is None else payload,
                          warnings=[] if warnings is None else warnings)
-
-
-def json_base(b):
-    if isinstance(b, float) and math.isinf(b):
-        return "inf"
-    return b
 
 
 def _round_reals(value):
@@ -55,11 +50,11 @@ def _round_reals(value):
 def render_json(doc: ReportDocument) -> str:
     import json  # loaded only by the documents that use it, as is csv
 
-    out: dict[str, Any] = {"mode": doc.mode}
+    out = {"mode": doc.mode}
     if doc.bases is not None:
-        out["bases"] = [json_base(b) for b in doc.bases]
+        out["bases"] = doc.bases
     else:
-        out["base"] = json_base(doc.base)
+        out["base"] = doc.base
     out.update(_round_reals(doc.payload))
     out["warnings"] = list(doc.warnings)
     return json.dumps(out, indent=2)

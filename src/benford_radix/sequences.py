@@ -16,7 +16,8 @@ lists.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .digits import check_base
 from .logdigits import (  # the single-power probe is re-exported from here
@@ -31,13 +32,7 @@ from .logdigits import (  # the single-power probe is re-exported from here
 )
 
 
-class _Spec(NamedTuple):
-    kind: str
-    length: int
-    power_base: int | None
-
-
-class SequenceSpec(_Spec):
+class SequenceSpec(namedtuple("SequenceSpec", "kind length power_base")):
     """What to generate: powers of a, factorials, or Fibonacci numbers."""
 
     __slots__ = ()

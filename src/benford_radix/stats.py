@@ -1,23 +1,22 @@
 """Leading-digit histograms, goodness-of-fit, and the multi-base summary table.
 
 A histogram is a plain tuple of the counts of digits 1..base-1, as
-`sequences.leading_digit_counts` and `ingest.scan` return it. The
-chi-square p-value is the closed form of the regularized upper incomplete
-gamma function at integer degrees of freedom: a finite Poisson sum for even
-df, erfc plus a finite sum for odd df.
+`sequences.leading_digit_counts` and `ingest.scan` return it. The fit and
+the table come back as the documents print them: the ``fit`` dict of
+`analyze` and the ``rows`` dicts of `table2`. The chi-square p-value is
+the closed form of the regularized upper incomplete gamma function at
+integer degrees of freedom: a finite Poisson sum for even df, erfc plus a
+finite sum for odd df.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
 
-from .digits import INFINITE, as_exact_int, check_base
-from .model import BenfordPmf, leading_one_probability
-from .reference import (
-    POW2_LEADING_ONE_REFERENCE,
-    POW2_LEADING_ONE_REFERENCE_INFINITE,
-)
+from .digits import as_exact_int, check_base
+from .model import leading_one_probability
+from .reference import POW2_LEADING_ONE_REFERENCE
 
 
 # --- chi-square machinery ---------------------------------------------------
@@ -63,81 +62,61 @@ def _verdict(mad: float) -> str:
 SMALL_CELL_EXPECTED = 5.0
 
 
-class FitReport(NamedTuple):
-    """Goodness-of-fit summary of an observed histogram against a PMF."""
-
-    statistic_chi2: float
-    degrees_of_freedom: int
-    p_value: float
-    mad: float
-    max_deviation: float
-    verdict: str
-    warnings: tuple[str, ...] = ()
-
-
 def _chi_square_statistic(counts: Sequence[int], probs: Sequence[float]) -> float:
     n = sum(counts)
     return sum((o - n * p) ** 2 / (n * p) for o, p in zip(counts, probs))
 
 
-def chi_square_fit(counts: Sequence[int], expected: BenfordPmf) -> FitReport:
+def chi_square_fit(counts: Sequence[int], probs: Sequence[float]) -> tuple[dict, list[str]]:
     """Chi-square and MAD conformity of the digit counts of a nonempty
-    histogram to the PMF of its base.
+    histogram to the first-digit law ``probs`` of its base.
 
-    Degrees of freedom are (base-1) - 1, so base 2 (a single cell) has no
-    testable fit and `chi_square_p_value` raises. Expected counts below
-    SMALL_CELL_EXPECTED are reported as a warning, not an error, so small
-    samples still compute.
+    Returns the ``fit`` dict of an `analyze` document (chi2, df, p_value,
+    mad, max_deviation, verdict) and the fit's warnings. The base is
+    len(probs) + 1, so degrees of freedom are len(probs) - 1, and base 2 (a
+    single cell) has no testable fit: `chi_square_p_value` raises. Expected
+    counts below SMALL_CELL_EXPECTED are reported as a warning, not an
+    error, so small samples still compute.
     """
     n = sum(counts)
-    df = (expected.base - 1) - 1
-    statistic = _chi_square_statistic(counts, expected.probs)
-    p_value = chi_square_p_value(statistic, df)
-    deviations = [abs(c / n - p) for c, p in zip(counts, expected.probs)]
-    mad = sum(deviations) / len(deviations)
-    max_deviation = max(deviations)
+    cells = len(probs)
+    statistic = _chi_square_statistic(counts, probs)
+    deviations = [abs(c / n - p) for c, p in zip(counts, probs)]
+    mad = sum(deviations) / cells
+    fit = {
+        "chi2": statistic,
+        "df": cells - 1,
+        "p_value": chi_square_p_value(statistic, cells - 1),
+        "mad": mad,
+        "max_deviation": max(deviations),
+        "verdict": _verdict(mad),
+    }
     warnings = []
-    small = sum(1 for p in expected.probs if n * p < SMALL_CELL_EXPECTED)
+    small = sum(1 for p in probs if n * p < SMALL_CELL_EXPECTED)
     if small:
         warnings.append(
-            f"{small} of {expected.base - 1} expected counts are below "
+            f"{small} of {cells} expected counts are below "
             f"{SMALL_CELL_EXPECTED:g}; chi-square p-value is approximate"
         )
-    return FitReport(
-        statistic_chi2=statistic,
-        degrees_of_freedom=df,
-        p_value=p_value,
-        mad=mad,
-        max_deviation=max_deviation,
-        verdict=_verdict(mad),
-        warnings=tuple(warnings),
-    )
+    return fit, warnings
 
 
 # --- multi-base leading-one table -------------------------------------------
 
 
-class LeadingOneRow(NamedTuple):
-    """One row of the cross-base table: empirical vs asymptotic vs reference P(1)."""
-
-    base: int | float  # INFINITE marks the "own symbol per number" row
-    sample_size: int
-    empirical_p1: float
-    asymptotic_p1: float
-    reference_p1: float | None = None
-
-
 def leading_one_by_base(
     bases: Iterable[int], sample_size: int, sequence_base: int = 2
-) -> list[LeadingOneRow]:
+) -> list[dict]:
     """Frequency of leading digit 1 for the first N powers of ``sequence_base``,
     one row per requested base, plus the infinite-system row.
 
-    The empirical column is an exact count of the powers with leading digit
-    1, from `leading_digit_counts` in O(log N) steps per base; the
-    asymptotic column is the equidistribution limit log_base(2); the
-    reference column carries the bundled two-decimal values where available
-    (sequence base 2 only).
+    The rows are the ``rows`` dicts of a `table2` document (base, n,
+    empirical_p1, asymptotic_p1, reference_p1), in ascending base, with the
+    infinite-system row last under base ``"inf"``. The empirical column is
+    an exact count of the powers with leading digit 1, from
+    `leading_digit_counts` in O(log N) steps per base; the asymptotic column
+    is the equidistribution limit log_base(2); the reference column carries
+    the bundled two-decimal values where available (sequence base 2 only).
     """
     n = as_exact_int(sample_size, "sample size")
     if n < 1:
@@ -145,33 +124,24 @@ def leading_one_by_base(
     from .sequences import SequenceSpec, leading_digit_counts  # loaded for this table only
 
     spec = SequenceSpec.powers(sequence_base, n)
-    has_reference = sequence_base == 2
+    reference = POW2_LEADING_ONE_REFERENCE if sequence_base == 2 else {}
     rows = []
     for b in sorted({check_base(base) for base in bases}):
         (ones,) = leading_digit_counts(spec, b, top=1)
-        rows.append(
-            LeadingOneRow(
-                base=b,
-                sample_size=n,
-                empirical_p1=ones / n,
-                asymptotic_p1=leading_one_probability(b),
-                reference_p1=(
-                    POW2_LEADING_ONE_REFERENCE.get(b) if has_reference else None
-                ),
-            )
-        )
-    rows.append(
-        LeadingOneRow(
-            base=INFINITE,
-            sample_size=n,
-            # one symbol per number: only the first term, 1, reads "1" (0.0 past
-            # the float range, by exact integer division)
-            empirical_p1=1 / n,
-            asymptotic_p1=0.0,
-            reference_p1=(
-                POW2_LEADING_ONE_REFERENCE_INFINITE if has_reference else None
-            ),
-        )
-    )
+        rows.append({
+            "base": b,
+            "n": n,
+            "empirical_p1": ones / n,
+            "asymptotic_p1": leading_one_probability(b),
+            "reference_p1": reference.get(b),
+        })
+    rows.append({
+        "base": "inf",
+        "n": n,
+        # one symbol per number: only the first term, 1, reads "1" (0.0 past
+        # the float range, by exact integer division)
+        "empirical_p1": 1 / n,
+        "asymptotic_p1": 0.0,
+        "reference_p1": reference.get("inf"),
+    })
     return rows
-

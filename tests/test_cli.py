@@ -43,6 +43,16 @@ def cli_subprocess(argv, python_flags=(), **popen_kwargs):
     return subprocess.Popen(command, env=src_env(), **popen_kwargs)
 
 
+def imported_modules(argv, python_flags=()):
+    """The modules a CLI run of ``argv`` imports, as `-X importtime` names them."""
+    proc = cli_subprocess(argv, [*python_flags, "-X", "importtime"], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    return {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
+
+
 def run_bounded(argv, timeout):
     """(returncode, stdout, stderr, seconds) of the CLI in a subprocess; a
     child still running after ``timeout`` seconds is killed and fails the test."""
@@ -567,9 +577,11 @@ class TestScripts:
     def test_pow2_convergence_runs(self):
         proc = run_script("--sizes", "100,1000")
         assert proc.returncode == 0, proc.stderr
-        header, *rows = proc.stdout.splitlines()
-        assert header.split()[:3] == ["N", "MAD", "max"]
-        assert [row.split()[0] for row in rows] == ["100", "1000"]
+        assert proc.stdout == (
+            "       N         MAD     max dev        chi2    p-value  verdict\n"
+            "     100    0.003879    0.009181      0.2210     1.0000  close\n"
+            "    1000    0.000678    0.002053      0.1586     1.0000  close\n"
+        )
 
     @pytest.mark.parametrize("argv, message", [
         (["--base", "2"], "degrees of freedom must be >= 1, got 0"),
@@ -622,12 +634,7 @@ class TestCliContract:
         data = tmp_path / "small.txt"
         data.write_text("1\n22\n0.333\n-4e2\n", encoding="utf-8")
         argv = [a.format(path=data) for a in argv]
-        proc = cli_subprocess(argv, ["-X", "importtime"], stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0, err
-        modules = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
-                   if line.startswith("import time:")}
+        modules = imported_modules(argv)
         assert "benford_radix.digits" in modules
         assert not {"decimal", "_decimal", "_pydecimal", "dataclasses", "inspect"} & modules
         engine = {"benford_radix.sequences", "benford_radix.logdigits"}
@@ -643,6 +650,9 @@ class TestCliContract:
         assert ("json" in modules) == ("--json" in argv)
         dataset = argv[argv.index("--format") + 1] if "--format" in argv else "lines"
         assert ("csv" in modules) == ("--csv" in argv or dataset == "csv")
+        # no module imports typing; -S, because a site .pth file may import it
+        # before the program starts
+        assert "typing" not in imported_modules(argv, ["-S"])
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

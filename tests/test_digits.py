@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benford_radix import digits
-from benford_radix.digits import INFINITE, _leading_digit, check_base
+from benford_radix.digits import _leading_digit, check_base
 from benford_radix.ingest import NUMERAL, _numeral_digit
 
 from oracles import expansion_by_division, leading_digit_by_fraction_scaling
@@ -88,7 +88,7 @@ class TestCheckBase:
 
     def test_infinite_needs_finite(self):
         with pytest.raises(ValueError, match="exact integer, got inf"):
-            check_base(INFINITE)
+            check_base(float("inf"))
 
     def test_float_bases_rejected(self):
         with pytest.raises(ValueError, match="exact integer"):

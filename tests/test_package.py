@@ -7,10 +7,8 @@ import sys
 import pytest
 
 from benford_radix.ingest import DatasetSource, IngestStats
-from benford_radix.model import BenfordPmf
 from benford_radix.report import ReportDocument
 from benford_radix.sequences import FastDigit, SequenceSpec
-from benford_radix.stats import FitReport, LeadingOneRow
 
 from test_cli import src_env
 
@@ -27,14 +25,7 @@ class TestLazyRoot:
 
 # (type, positional arguments, every field with its value, default fields included)
 RECORDS = [
-    (BenfordPmf, (3, (0.6, 0.4)), {"base": 3, "probs": (0.6, 0.4)}),
     (FastDigit, (2, False), {"digit": 2, "certain": False}),
-    (FitReport, (1.5, 8, 0.9, 0.004, 0.01, "close"),
-     {"statistic_chi2": 1.5, "degrees_of_freedom": 8, "p_value": 0.9, "mad": 0.004,
-      "max_deviation": 0.01, "verdict": "close", "warnings": ()}),
-    (LeadingOneRow, (10, 13, 0.31, 0.30),
-     {"base": 10, "sample_size": 13, "empirical_p1": 0.31, "asymptotic_p1": 0.30,
-      "reference_p1": None}),
     (SequenceSpec, ("factorial", 5), {"kind": "factorial", "length": 5, "power_base": None}),
     (DatasetSource, ("lines",), {"format": "lines", "column": None, "skip_header": False}),
 ]

@@ -12,7 +12,7 @@ import sys
 from itertools import islice
 
 from .digits import check_base
-from .report import ReportDocument, render_csv, render_json, render_text
+from .report import render_csv, render_json, render_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +55,7 @@ def _histogram_payload(base: int, counts: tuple[int, ...]) -> dict:
     return {"base": base, "total": sum(counts), "counts": list(counts)}
 
 
-def _law_doc(mode: str, base: int, p_key: str) -> ReportDocument:
+def _law_doc(mode: str, base: int, p_key: str) -> dict:
     """The first-digit law of ``base``; base 10 adds the 1938 reference column."""
     from .model import benford_pmf  # loaded only by the commands that use it
     from .reference import BENFORD_1938_FIRST_DIGIT
@@ -67,18 +67,18 @@ def _law_doc(mode: str, base: int, p_key: str) -> ReportDocument:
             row["reference"] = BENFORD_1938_FIRST_DIGIT[d]
             row["delta"] = p - BENFORD_1938_FIRST_DIGIT[d]
         rows.append(row)
-    return ReportDocument(mode=mode, base=base, payload={"rows": rows})
+    return {"mode": mode, "base": base, "rows": rows, "warnings": []}
 
 
-def _cmd_pmf(args) -> ReportDocument:
+def _cmd_pmf(args) -> dict:
     return _law_doc("pmf", check_base(args.base), "p")
 
 
-def _cmd_table1(args) -> ReportDocument:
+def _cmd_table1(args) -> dict:
     return _law_doc("table1", 10, "theory")
 
 
-def _cmd_sequence(args) -> ReportDocument | None:
+def _cmd_sequence(args) -> dict | None:
     from .sequences import generate, iter_leading_digits, leading_digit_counts
 
     base = check_base(args.base)
@@ -100,53 +100,42 @@ def _cmd_sequence(args) -> ReportDocument | None:
         return None
     if args.tally:
         counts = leading_digit_counts(spec, base)
-        return ReportDocument(
-            mode="sequence", base=base, payload={"histogram": _histogram_payload(base, counts)}
-        )
+        return {"mode": "sequence", "base": base,
+                "histogram": _histogram_payload(base, counts), "warnings": []}
     digits = list(iter_leading_digits(spec, base))
-    return ReportDocument(mode="sequence", base=base, payload={"digits": digits})
+    return {"mode": "sequence", "base": base, "digits": digits, "warnings": []}
 
 
-def _cmd_table2(args) -> ReportDocument:
+def _cmd_table2(args) -> dict:
     from .stats import leading_one_by_base
 
     bases = _parse_bases(args.bases)
     rows = leading_one_by_base(bases, args.n, sequence_base=args.seq_base)
-    return ReportDocument(mode="table2", bases=[r["base"] for r in rows], payload={"rows": rows})
+    return {"mode": "table2", "bases": [r["base"] for r in rows], "rows": rows, "warnings": []}
 
 
-def _cmd_analyze(args) -> ReportDocument:
-    from .ingest import DatasetSource, IngestStats, scan  # only analyze reads datasets
+def _cmd_analyze(args) -> dict:
+    from .ingest import DatasetSource, scan  # only analyze reads datasets
     from .model import benford_pmf
     from .stats import chi_square_fit
 
     base = check_base(args.base)
     source = DatasetSource(args.format, args.column, args.skip_header)
-    stats = IngestStats()
     if args.path == "-":  # stdin is borrowed, not closed
-        counts = scan(source, sys.stdin.buffer, base, stats)
+        counts, warnings = scan(source, sys.stdin.buffer, base)
     else:
         with open(args.path, "rb") as fh:
-            counts = scan(source, fh, base, stats)
-    total = sum(counts)
-    zeros = stats.records - total
-    warnings = stats.warnings()
-    if zeros:
-        warnings.append(f"skipped {zeros} zero value(s)")
+            counts, warnings = scan(source, fh, base)
     fit = None
-    if total == 0:
+    if sum(counts) == 0:
         warnings.append("no usable records; nothing to fit")
     elif base == 2:
         warnings.append("base 2 has a single digit cell; chi-square fit undefined")
     else:
         fit, fit_warnings = chi_square_fit(counts, benford_pmf(base))
         warnings.extend(fit_warnings)
-    return ReportDocument(
-        mode="analyze",
-        base=base,
-        payload={"histogram": _histogram_payload(base, counts), "fit": fit},
-        warnings=warnings,
-    )
+    return {"mode": "analyze", "base": base, "histogram": _histogram_payload(base, counts),
+            "fit": fit, "warnings": warnings}
 
 
 def _add_format_flags(sub) -> None:

@@ -87,31 +87,9 @@ class DatasetSource(namedtuple("DatasetSource", "format column skip_header")):
             raise ValueError("skip_header is only valid for csv input")
         return super().__new__(cls, format, column, skip_header)
 
-
-class IngestStats:
-    """Counters of the records `scan` read and skipped."""
-
-    # every record bumps a counter: plain attributes, which bump about 3x
-    # faster than those of a SimpleNamespace
-    def __init__(self, records=0, skipped_blank=0, skipped_non_numeric=0, skipped_exponent=0):
-        self.records = records
-        self.skipped_blank = skipped_blank
-        self.skipped_non_numeric = skipped_non_numeric
-        self.skipped_exponent = skipped_exponent
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def warnings(self) -> list[str]:
-        out = []
-        if self.skipped_blank:
-            out.append(f"skipped {self.skipped_blank} blank field(s)")
-        if self.skipped_non_numeric:
-            out.append(f"skipped {self.skipped_non_numeric} non-numeric token(s)")
-        if self.skipped_exponent:
-            bound = 10**MAX_EXPONENT_DIGITS - 1
-            out.append(f"skipped {self.skipped_exponent} numeral(s) with |exponent| > {bound}")
-        return out
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
 
 
 def exponent_out_of_range(text: str) -> bool:
@@ -120,14 +98,10 @@ def exponent_out_of_range(text: str) -> bool:
     return re.fullmatch(NUMERAL.replace(_EXPONENT, "[0-9]+"), text) is not None
 
 
-def _skip(text: str, stats: IngestStats, n: int = 1) -> None:
-    """Count ``n`` stripped records that `NUMERAL` refused."""
-    if not text:
-        stats.skipped_blank += n
-    elif exponent_out_of_range(text):
-        stats.skipped_exponent += n
-    else:
-        stats.skipped_non_numeric += n
+#: The kinds of record that `scan` skips and counts, in the order it reports
+#: them: blank, non-numeric and past the exponent bound.
+_SKIPPED = ("blank field(s)", "non-numeric token(s)",
+            f"numeral(s) with |exponent| > {10**MAX_EXPONENT_DIGITS - 1}")
 
 
 def _column(source: DatasetSource, reader: Iterator[list[str]]) -> tuple[int, list[str] | None]:
@@ -250,25 +224,25 @@ def _lines(fh: io.TextIOBase, rest: list[str] | None = None, limit: int = 0) -> 
         yield tail + "\n"
 
 
-def scan(
-    source: DatasetSource, stream: io.BufferedIOBase, base: int, stats: IngestStats
-) -> tuple[int, ...]:
+def scan(source: DatasetSource, stream: io.BufferedIOBase,
+         base: int) -> tuple[tuple[int, ...], list[str]]:
     """Counts of the first digits 1..base-1 of the usable records of the
-    byte ``stream``, with ``stats`` filled in. Every record is parsed once,
-    by one ``findall`` per chunk of "\\n"-terminated records: whole lines,
-    whole CSV rows, whose match skips the columns before the selected one,
-    or the selected fields of _BATCH rows that `csv` split (see `_lines`)
-    joined by "\\n". In base 10 the match captures the first significant
-    digit, and the pairs are counted in C. In any other base it captures a
-    numeral's integer part W past leading zeros, its text from W on (at most
-    _K digits each side of the point) and any exponent; C places the texts
-    by their length of W in the base's `_threshold_table`, and
+    byte ``stream``, and the warnings that count the records it skipped:
+    blank, non-numeric, past the exponent bound, then zero. Every record is
+    parsed once, by one ``findall`` per chunk of "\\n"-terminated records:
+    whole lines, whole CSV rows, whose match skips the columns before the
+    selected one, or the selected fields of _BATCH rows that `csv` split
+    (see `_lines`) joined by "\\n". In base 10 the match captures the first
+    significant digit, and the pairs are counted in C. In any other base it
+    captures a numeral's integer part W past leading zeros, its text from W
+    on (at most _K digits each side of the point) and any exponent; C places
+    the texts by their length of W in the base's `_threshold_table`, and
     `_numeral_digit` reads those with an exponent. Any other record is
     matched by `NUMERAL` alone, and read by `_numeral_digit` or skipped and
     counted. ``stream`` is left open. Structural problems raise IngestError
     with the offending line number, and undecodable bytes a
     UnicodeDecodeError that names their offset in the input, if it can."""
-    counts = [0] * base  # counts[0]: zeros
+    counts, skipped = [0] * base, [0] * len(_SKIPPED)  # counts[0]: zeros
     ten = base == 10
     if ten:  # one group: the first nonzero digit, if any
         numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[")
@@ -286,14 +260,14 @@ def scan(
     def read(raw: str, n: int) -> None:  # n copies of a record the fast form refused
         if m := match(raw := raw.strip()):
             counts[_numeral_digit(base, *m.groups(""))] += n
-        else:
-            _skip(raw, stats, n)
+        else:  # indexed as _SKIPPED
+            skipped[0 if not raw else 2 if exponent_out_of_range(raw) else 1] += n
 
     def read_row(raw: str, n: int) -> None:  # the same for a row of quote-free CSV
         if raw := raw.rstrip("\r\n"):
             read(raw.split(",", index + 1)[index], n)  # IndexError: a short row
         else:
-            stats.skipped_blank += n
+            skipped[0] += n
 
     def count_chunk(text: str, findall: Callable[[str], list], refused) -> None:
         if ten:  # few distinct (digit, raw) pairs: count them in C first
@@ -361,5 +335,7 @@ def scan(
         raise error from None
     finally:
         fh.detach()  # the wrapper would close ``stream`` when collected
-    stats.records += sum(counts)
-    return tuple(counts[1:])
+    warnings = [f"skipped {n} {what}" for n, what in zip(skipped, _SKIPPED) if n]
+    if counts[0]:
+        warnings.append(f"skipped {counts[0]} zero value(s)")
+    return tuple(counts[1:]), warnings

@@ -21,8 +21,3 @@ def benford_pmf(base) -> tuple[float, ...]:
     scale = math.log2(b)
     return tuple((math.log2(d + 1) - math.log2(d)) / scale for d in range(1, b))
 
-
-def leading_one_probability(base) -> float:
-    """P(first digit = 1) = log_base(2); the head of benford_pmf(base)."""
-    b = check_base(base)
-    return 1.0 / math.log2(b)

@@ -1,8 +1,8 @@
-"""Report documents and their text / JSON / CSV renderings.
+"""The text / JSON / CSV renderings of a command's document.
 
-A ReportDocument is the single structured result every CLI subcommand
-produces; the JSON shape is stable per mode: {mode, base|bases, <payload>,
-warnings}. The text and CSV renderers never look at the mode, only at the
+Every CLI subcommand produces one document: a plain dict in print order,
+``{mode, base|bases, <payload>, warnings}``, whose JSON shape is stable per
+mode. The text and CSV renderers never look at the mode, only at the
 payload's shape, which is exactly one of
 
 - ``rows``: a table, as dicts with the same keys (pmf, table1, table2);
@@ -17,21 +17,7 @@ everywhere regardless of locale conventions.
 
 from __future__ import annotations
 
-import io
 import math
-from types import SimpleNamespace
-
-
-class ReportDocument(SimpleNamespace):
-    """One command's result, as the documents print it: ``base`` is an int,
-    or None when ``bases`` lists the table's bases (an int each, or "inf"
-    for the infinite-system row)."""
-
-    def __init__(self, mode: str, base: int | None = None, bases: list | None = None,
-                 payload: dict | None = None, warnings: list[str] | None = None):
-        super().__init__(mode=mode, base=base, bases=bases,
-                         payload={} if payload is None else payload,
-                         warnings=[] if warnings is None else warnings)
 
 
 def _round_reals(value):
@@ -47,17 +33,10 @@ def _round_reals(value):
     return value
 
 
-def render_json(doc: ReportDocument) -> str:
-    import json  # loaded only by the documents that use it, as is csv
+def render_json(doc: dict) -> str:
+    import json  # loaded only by the documents that use it
 
-    out = {"mode": doc.mode}
-    if doc.bases is not None:
-        out["bases"] = doc.bases
-    else:
-        out["base"] = doc.base
-    out.update(_round_reals(doc.payload))
-    out["warnings"] = list(doc.warnings)
-    return json.dumps(out, indent=2)
+    return json.dumps(_round_reals(doc), indent=2)
 
 
 def format_digit(d: int) -> str:
@@ -65,14 +44,14 @@ def format_digit(d: int) -> str:
     return str(d) if d <= 9 else f"[{d}]"
 
 
-def _table(payload: dict) -> tuple[list[str], list[list]]:
-    """The payload as one table of raw values: (column names, rows)."""
-    if "rows" in payload:
-        columns = list(payload["rows"][0])
-        return columns, [[r[c] for c in columns] for r in payload["rows"]]
-    if "digits" in payload:
-        return ["index", "digit"], [[i, d] for i, d in enumerate(payload["digits"])]
-    hist = payload["histogram"]
+def _table(doc: dict) -> tuple[list[str], list[list]]:
+    """The document's payload as one table of raw values: (column names, rows)."""
+    if "rows" in doc:
+        columns = list(doc["rows"][0])
+        return columns, [[r[c] for c in columns] for r in doc["rows"]]
+    if "digits" in doc:
+        return ["index", "digit"], [[i, d] for i, d in enumerate(doc["digits"])]
+    hist = doc["histogram"]
     total = hist["total"]
     return ["digit", "count", "frequency"], [
         [i + 1, c, c / total if total else None] for i, c in enumerate(hist["counts"])
@@ -109,41 +88,37 @@ def _fit_text(fit: dict | None) -> str:
     )
 
 
-def render_text(doc: ReportDocument) -> str:
-    payload = doc.payload
-    if "digits" in payload:
-        parts = [" ".join(format_digit(d) for d in payload["digits"])]
+def render_text(doc: dict) -> str:
+    if "digits" in doc:
+        parts = [" ".join(format_digit(d) for d in doc["digits"])]
     else:
-        columns, rows = _table(payload)
+        columns, rows = _table(doc)
         cells = [[_text_cell(c, v) for c, v in zip(columns, row)] for row in rows]
         parts = [aligned_table(columns, cells)]
-        if "histogram" in payload:
-            parts.append(f"total  {payload['histogram']['total']}")
+        if "histogram" in doc:
+            parts.append(f"total  {doc['histogram']['total']}")
         if "delta" in columns:
-            worst = max(payload["rows"], key=lambda r: abs(r["delta"]))
+            worst = max(doc["rows"], key=lambda r: abs(r["delta"]))
             parts.append(
                 f"max |delta| = {abs(worst['delta']):.6f} (digit {worst['digit']})"
             )
-    if "fit" in payload:
-        parts.append(_fit_text(payload["fit"]))
-    parts.extend(f"warning: {w}" for w in doc.warnings)
+    if "fit" in doc:
+        parts.append(_fit_text(doc["fit"]))
+    parts.extend(f"warning: {w}" for w in doc["warnings"])
     return "\n".join(parts) + "\n"
 
 
-def _csv_value(value):
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         return f"{value:.6g}"
-    return value
+    return str(value)
 
 
-def render_csv(doc: ReportDocument) -> str:
-    import csv
-
-    columns, rows = _table(doc.payload)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_value(v) for v in row] for row in rows)
-    return out.getvalue()
+def render_csv(doc: dict) -> str:
+    # the column names are identifiers and the cells numbers, "inf" or
+    # empty, none of which a CSV quotes: joined by "," they are its rows
+    columns, rows = _table(doc)
+    lines = [columns, *([_csv_cell(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)

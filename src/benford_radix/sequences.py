@@ -50,6 +50,10 @@ class SequenceSpec(namedtuple("SequenceSpec", "kind length power_base")):
         return super().__new__(cls, kind, length, power_base)
 
     @classmethod
+    def _make(cls, iterable):  # and so _replace: through the checks of __new__
+        return cls(*iterable)
+
+    @classmethod
     def powers(cls, a: int, length: int) -> "SequenceSpec":
         return cls(kind="powers", length=length, power_base=a)
 

@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .digits import as_exact_int, check_base
-from .model import leading_one_probability
+from .model import benford_pmf
 from .reference import POW2_LEADING_ONE_REFERENCE
 
 
@@ -132,7 +132,7 @@ def leading_one_by_base(
             "base": b,
             "n": n,
             "empirical_p1": ones / n,
-            "asymptotic_p1": leading_one_probability(b),
+            "asymptotic_p1": benford_pmf(b)[0],
             "reference_p1": reference.get(b),
         })
     rows.append({

@@ -646,10 +646,10 @@ class TestCliContract:
         assert ("benford_radix.stats" in modules) == (argv[0] in ("table2", "analyze"))
         for law in ("benford_radix.model", "benford_radix.reference"):
             assert (law in modules) == (argv[0] != "sequence"), law
-        # a format's module loads only for that format, of the document or the dataset
+        # json loads only for a JSON document, csv only for a CSV dataset
         assert ("json" in modules) == ("--json" in argv)
         dataset = argv[argv.index("--format") + 1] if "--format" in argv else "lines"
-        assert ("csv" in modules) == ("--csv" in argv or dataset == "csv")
+        assert ("csv" in modules) == (dataset == "csv")
         # no module imports typing; -S, because a site .pth file may import it
         # before the program starts
         assert "typing" not in imported_modules(argv, ["-S"])

@@ -14,16 +14,22 @@ from hypothesis import strategies as st
 
 from benford_radix import ingest
 from benford_radix.digits import _leading_digit
-from benford_radix.ingest import _K, NUMERAL, DatasetSource, IngestError, IngestStats, scan
+from benford_radix.ingest import _K, NUMERAL, DatasetSource, IngestError, scan
 
 from oracles import digit_counts, leading_digit_by_fraction_scaling
 from test_digits import int_str_digits
 
 
 def scanned(source, text, base=10):
-    """(counts, stats) of `scan` over ``text`` encoded as UTF-8."""
-    stats = IngestStats()
-    return scan(source, io.BytesIO(text.encode()), base, stats), stats
+    """(counts, warnings) of `scan` over ``text`` encoded as UTF-8."""
+    return scan(source, io.BytesIO(text.encode()), base)
+
+
+def skips(blank=0, non_numeric=0, exponent=0, zeros=0):
+    """The warnings of `scan` that count the records it skipped, in its order."""
+    return [f"skipped {n} {what}" for n, what in [
+        (blank, "blank field(s)"), (non_numeric, "non-numeric token(s)"),
+        (exponent, "numeral(s) with |exponent| > 9999"), (zeros, "zero value(s)")] if n]
 
 
 def counts_of(digits, base=10):
@@ -50,33 +56,31 @@ class TestDatasetSource:
 
 class TestPlainLines:
     def test_passthrough(self):
-        counts, stats = scanned(DatasetSource(format="lines"), "16\n32\n64\n")
+        counts, warnings = scanned(DatasetSource(format="lines"), "16\n32\n64\n")
         assert counts == counts_of([1, 3, 6])
-        assert stats == IngestStats(3) and not stats.warnings()
+        assert warnings == []
 
     def test_non_numeric_skipped_with_count(self):
-        counts, stats = scanned(DatasetSource(format="lines"), "16\nn/a\n64\n")
+        counts, warnings = scanned(DatasetSource(format="lines"), "16\nn/a\n64\n")
         assert counts == counts_of([1, 6])
-        assert stats == IngestStats(2, skipped_non_numeric=1)
-        assert "1 non-numeric" in stats.warnings()[0]
+        assert warnings == ["skipped 1 non-numeric token(s)"] == skips(non_numeric=1)
 
     def test_blank_lines_counted(self):
-        counts, stats = scanned(DatasetSource(format="lines"), "\n\n12\n  \n")
+        counts, warnings = scanned(DatasetSource(format="lines"), "\n\n12\n  \n")
         assert counts == counts_of([1])
-        assert stats == IngestStats(1, skipped_blank=3)
+        assert warnings == skips(blank=3)
 
     def test_exponents_within_the_bound_are_numerals(self):
         text = "1.5e3\n2E-4\n+0.0e+7\n7e0009999\n"
-        counts, stats = scanned(DatasetSource(format="lines"), text)
-        assert counts == counts_of([1, 2, 7])  # and one zero
-        assert stats == IngestStats(4) and not stats.warnings()
+        counts, warnings = scanned(DatasetSource(format="lines"), text)
+        assert counts == counts_of([1, 2, 7])
+        assert warnings == ["skipped 1 zero value(s)"] == skips(zeros=1)
 
     def test_exponent_beyond_the_bound_has_its_own_count(self):
         text = "1e10000\n-2.5E-123456\n3e\ne5\n8\n"
-        counts, stats = scanned(DatasetSource(format="lines"), text)
+        counts, warnings = scanned(DatasetSource(format="lines"), text)
         assert counts == counts_of([8])
-        assert stats == IngestStats(1, skipped_non_numeric=2, skipped_exponent=2)
-        assert stats.warnings() == [
+        assert warnings == skips(non_numeric=2, exponent=2) == [
             "skipped 2 non-numeric token(s)",
             "skipped 2 numeral(s) with |exponent| > 9999",
         ]
@@ -87,31 +91,31 @@ class TestPlainLines:
         for base in (10, 7):
             want = [_leading_digit(p, q, base)
                     for p, q in ((25, 2), (312, 10**5), (7, 1), (1, 2))]
-            counts, stats = scanned(DatasetSource(format="lines"), text, base)
-            assert counts == counts_of(want, base) and stats == IngestStats(4)
+            counts, warnings = scanned(DatasetSource(format="lines"), text, base)
+            assert counts == counts_of(want, base) and warnings == []
 
 
 class TestCsv:
     def test_named_column(self):
         src = DatasetSource(format="csv", column="area")
-        counts, stats = scanned(src, "name,area\nvolga,335\n")
+        counts, warnings = scanned(src, "name,area\nvolga,335\n")
         assert counts == counts_of([3])
-        assert stats == IngestStats(1)
+        assert warnings == []
 
     def test_indexed_column(self):
         src = DatasetSource(format="csv", column=1)
-        counts, stats = scanned(src, "volga,335\ndanube,817\n")
-        assert counts == counts_of([3, 8]) and stats == IngestStats(2)
+        counts, warnings = scanned(src, "volga,335\ndanube,817\n")
+        assert counts == counts_of([3, 8]) and warnings == []
 
     def test_indexed_column_with_header_skip(self):
         src = DatasetSource(format="csv", column=1, skip_header=True)
-        counts, stats = scanned(src, "name,area\nvolga,335\n")
-        assert counts == counts_of([3]) and stats == IngestStats(1)
+        counts, warnings = scanned(src, "name,area\nvolga,335\n")
+        assert counts == counts_of([3]) and warnings == []
 
     def test_digit_string_selector_means_index(self):
         src = DatasetSource(format="csv", column="1")
-        counts, stats = scanned(src, "volga,335\n")
-        assert counts == counts_of([3]) and stats == IngestStats(1)
+        counts, warnings = scanned(src, "volga,335\n")
+        assert counts == counts_of([3]) and warnings == []
 
     def test_missing_named_column(self):
         src = DatasetSource(format="csv", column="weight")
@@ -125,9 +129,9 @@ class TestCsv:
 
     def test_blank_and_dirty_cells_counted(self):
         src = DatasetSource(format="csv", column="v")
-        counts, stats = scanned(src, "v\n42\n\n \noops\n3.14\n")
+        counts, warnings = scanned(src, "v\n42\n\n \noops\n3.14\n")
         assert counts == counts_of([4, 3])
-        assert stats == IngestStats(2, skipped_blank=2, skipped_non_numeric=1)
+        assert warnings == skips(blank=2, non_numeric=1)
 
     def test_oversized_field_reports_line_number(self):
         src = DatasetSource(format="csv", column=0)
@@ -142,8 +146,8 @@ class TestCsv:
 
     def test_empty_csv_with_named_column(self):
         src = DatasetSource(format="csv", column="area")
-        counts, stats = scanned(src, "")
-        assert counts == counts_of([]) and stats == IngestStats()
+        counts, warnings = scanned(src, "")
+        assert counts == counts_of([]) and warnings == []
 
 
 @pytest.mark.parametrize("source, data, error", [
@@ -155,7 +159,7 @@ class TestCsv:
 def test_scan_leaves_the_stream_open(source, data, error):
     stream = io.BytesIO(data)
     with pytest.raises(error) if error else contextlib.nullcontext():
-        scan(source, stream, 10, IngestStats())
+        scan(source, stream, 10)
     assert not stream.closed
 
 
@@ -272,19 +276,18 @@ def per_record(source, text, base):
             raise IngestError(f"row at line {rows.line_num} has no column {source.column!r}")
         except csv.Error as exc:
             raise IngestError(f"CSV error at line {rows.line_num}: {exc}")
-    counts, stats = [0] * base, IngestStats()
+    counts, skipped = [0] * base, Counter()
     for record in records:
         stripped = record.strip()
         if OLD_NUMERAL.fullmatch(stripped):
             counts[exact_digit(stripped, base)] += 1
         elif not stripped:
-            stats.skipped_blank += 1
+            skipped["blank"] += 1
         elif WIDE_NUMERAL.fullmatch(stripped):
-            stats.skipped_exponent += 1
+            skipped["exponent"] += 1
         else:
-            stats.skipped_non_numeric += 1
-    stats.records = sum(counts)
-    return tuple(counts[1:]), stats
+            skipped["non_numeric"] += 1
+    return tuple(counts[1:]), skips(**skipped, zeros=counts[0])
 
 
 BASES = st.sampled_from([2, 7, 10, 16, 64])
@@ -347,7 +350,7 @@ def mixed_csvs(draw):
 
 
 def outcome(read, *args):
-    """What ``read(*args)`` gives: its (counts, stats), or its IngestError message."""
+    """What ``read(*args)`` gives: its (counts, warnings), or its IngestError message."""
     try:
         return read(*args)
     except IngestError as exc:
@@ -477,16 +480,17 @@ class TestScan:
         for base in range(2, 65):
             assert scanned(source, text, base) == per_record(source, text, base), base
 
-    @pytest.mark.parametrize("text, counts, stats", [
-        ("5\r\n\r6\r 7 \n", (0, 0, 0, 0, 1, 1, 1, 0, 0), (3, 1, 0, 0)),
-        ("\ufeff1\x0b\n\x852\u2028\n3\x0b4", (1, 1, 0) + (0,) * 6, (2, 0, 1, 0)),
-        ("0\n1e10000\n\n", (0,) * 9, (1, 1, 0, 1)),
-        ("n/a\n\nn/a\n \n3\n3\n", (0, 0, 2) + (0,) * 6, (2, 2, 2, 0)),
+    # skipped: (blank, non-numeric, exponent, zero) records
+    @pytest.mark.parametrize("text, counts, skipped", [
+        ("5\r\n\r6\r 7 \n", (0, 0, 0, 0, 1, 1, 1, 0, 0), (1, 0, 0, 0)),
+        ("\ufeff1\x0b\n\x852\u2028\n3\x0b4", (1, 1, 0) + (0,) * 6, (0, 1, 0, 0)),
+        ("0\n1e10000\n\n", (0,) * 9, (1, 0, 1, 1)),
+        ("n/a\n\nn/a\n \n3\n3\n", (0, 0, 2) + (0,) * 6, (2, 2, 0, 0)),
     ], ids=["line-ends", "strip-whitespace", "zero-exponent-blank", "repeats"])
-    def test_known_lines(self, text, counts, stats):
-        got, got_stats = scanned(DatasetSource(format="lines"), text, 10)
+    def test_known_lines(self, text, counts, skipped):
+        got, warnings = scanned(DatasetSource(format="lines"), text, 10)
         assert got == counts
-        assert got_stats == IngestStats(*stats)
+        assert warnings == skips(*skipped)
 
     def test_short_csv_row_reports_its_line(self):
         source = DatasetSource(format="csv", column=1)
@@ -547,7 +551,7 @@ def _peak_scan(source, path, base) -> int:
     with open(path, "rb") as fh:
         tracemalloc.start()
         try:
-            scan(source, fh, base, IngestStats())
+            scan(source, fh, base)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -610,12 +614,12 @@ def test_undecodable_bytes_name_their_input_offset(opened, fmt, bom, at, bad, tm
     path.write_bytes(data)
     with open(path, "rb") if opened == "file" else io.BytesIO(data) as stream:
         with pytest.raises(UnicodeDecodeError, match=f"can't decode b'.*' at input offset {at}: "):
-            scan(source, stream, 10, IngestStats())
+            scan(source, stream, 10)
 
 
 @pytest.mark.parametrize("fmt", ["lines", "csv"])
 def test_undecodable_bytes_of_a_pipe_name_no_offset(fmt):
     source = DatasetSource(fmt, "v" if fmt == "csv" else None)
     with pytest.raises(UnicodeDecodeError) as info:
-        scan(source, _Pipe(_undecodable(fmt, b"", 200_000, b"\xff\n")), 10, IngestStats())
+        scan(source, _Pipe(_undecodable(fmt, b"", 200_000, b"\xff\n")), 10)
     assert str(info.value) == "'utf-8' codec can't decode b'\\xff': invalid start byte"

@@ -1,6 +1,6 @@
 import pytest
 
-from benford_radix.model import benford_pmf, leading_one_probability
+from benford_radix.model import benford_pmf
 from benford_radix.reference import BENFORD_1938_FIRST_DIGIT
 
 from oracles import log_ratio_by_mpmath
@@ -51,19 +51,21 @@ class TestBenfordPmf:
 
 
 class TestLeadingOneProbability:
+    # P(1) is the head of the law: log_base(2)
     def test_base2_is_certainty(self):
-        assert leading_one_probability(2) == 1.0
+        assert benford_pmf(2)[0] == 1.0
 
     def test_base4_is_exactly_half(self):
-        assert leading_one_probability(4) == 0.5
+        assert benford_pmf(4)[0] == 0.5
 
     def test_base10(self):
-        assert leading_one_probability(10) == pytest.approx(LOG10_2, abs=1e-12)
+        assert benford_pmf(10)[0] == pytest.approx(LOG10_2, abs=1e-12)
 
     @pytest.mark.parametrize("base", range(2, 65))
     def test_equals_pmf_head(self, base):
-        assert leading_one_probability(base) == benford_pmf(base)[0]
+        # log_base(2) by the 50-digit oracle, not the law's ratio of log2s
+        assert benford_pmf(base)[0] == pytest.approx(log_ratio_by_mpmath(2, base), rel=1e-15)
 
     def test_strictly_decreasing_in_base(self):
-        values = [leading_one_probability(b) for b in range(2, 65)]
+        values = [benford_pmf(b)[0] for b in range(2, 65)]
         assert all(a > b for a, b in zip(values, values[1:]))

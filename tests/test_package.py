@@ -6,8 +6,7 @@ import sys
 
 import pytest
 
-from benford_radix.ingest import DatasetSource, IngestStats
-from benford_radix.report import ReportDocument
+from benford_radix.ingest import DatasetSource
 from benford_radix.sequences import FastDigit, SequenceSpec
 
 from test_cli import src_env
@@ -41,21 +40,6 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(record, name, fields[name])
 
-    def test_ingest_stats_counts_from_zero(self):
-        stats = IngestStats()
-        assert vars(stats) == {"records": 0, "skipped_blank": 0,
-                               "skipped_non_numeric": 0, "skipped_exponent": 0}
-        stats.records += 2
-        stats.skipped_exponent += 1
-        assert stats == IngestStats(2, 0, 0, 1) == IngestStats(records=2, skipped_exponent=1)
-        assert stats != IngestStats()
-
-    def test_report_document_defaults(self):
-        doc = ReportDocument("pmf", 10)
-        assert doc == ReportDocument(mode="pmf", base=10, bases=None, payload={}, warnings=[])
-        doc.warnings.append("w")
-        assert ReportDocument("pmf").warnings == []  # no shared default
-
     @pytest.mark.parametrize("build, message", [
         (lambda: SequenceSpec("primes", 5), "unknown sequence kind 'primes'"),
         (lambda: SequenceSpec("powers", 0, 2), "length must be an integer >= 1, got 0"),
@@ -66,6 +50,13 @@ class TestRecords:
         (lambda: DatasetSource("csv"), "csv ingestion requires a column selector"),
         (lambda: DatasetSource("lines", 0), "column selector is only valid for csv input"),
         (lambda: DatasetSource("lines", None, True), "skip_header is only valid for csv input"),
+        # _make and _replace build through the same checks
+        pytest.param(lambda: SequenceSpec.powers(2, 5)._replace(length=0, power_base=1),
+                     "length must be an integer >= 1, got 0", id="SequenceSpec._replace"),
+        pytest.param(lambda: SequenceSpec._make(("primes", 5, None)),
+                     "unknown sequence kind 'primes'", id="SequenceSpec._make"),
+        pytest.param(lambda: DatasetSource("lines")._replace(column=0),
+                     "column selector is only valid for csv input", id="DatasetSource._replace"),
     ])
     def test_validation_messages(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

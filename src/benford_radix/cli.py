@@ -15,13 +15,6 @@ from .digits import check_base
 from .report import render_csv, render_json, render_text
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are validation errors: exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _parse_kind(kind: str, length: int) -> SequenceSpec:
     from .sequences import SequenceSpec  # loaded only by the commands that use it
 
@@ -145,7 +138,7 @@ def _add_format_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="benford-radix",
         description="First-significant-digit statistics in arbitrary number bases.",
     )
@@ -230,8 +223,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # a usage error is a validation error: 1, not argparse's 2
+        return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         doc = args.handler(args)
         if doc is not None:

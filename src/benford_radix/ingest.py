@@ -4,10 +4,12 @@
 optional BOM, universal newlines for plain lines and csv's own newline
 handling for CSV. Either way records reach one regular-expression pass per
 chunk as "\\n"-terminated text: whole lines, or whole CSV rows, whose match
-also selects the column. `csv` reads the header, and any text holding a
-quote, a NUL or a lone "\\r", whose selected fields of a batch of rows are
-then joined by "\\n". Numerals are read as strings; nothing is ever
-routed through binary floating point, so the digit statistics stay exact.
+also selects the column. `csv` reads the header, and the rest of the file
+from the first chunk that only it splits (one holding a quote, a NUL, a
+lone "\\r" or a short row, or longer than csv's field size limit), whose
+selected fields of a batch of rows are then joined by "\\n". Numerals are
+read as strings; nothing is ever routed through binary floating point, so
+the digit statistics stay exact.
 Dirty records (blanks, non-numeric tokens, exponents past the grammar's
 bound) are skipped and counted, not fatal.
 
@@ -30,7 +32,8 @@ from operator import itemgetter
 
 from .digits import _leading_digit
 
-_CHUNK, _BATCH = 8192, 256  # characters read at a time; CSV rows that csv splits at a time
+_CHUNK = 8192  # characters read at a time, then completed to a line end
+_BATCH = 256  # CSV rows that csv splits at a time
 #: Most integer digits, past leading zeros, and most fraction digits of a
 #: numeral that `scan` places by its text in a base other than 10.
 _K = 32
@@ -197,31 +200,13 @@ def _joined(batch: list[str]) -> str:
     return text
 
 
-def _lines(fh: io.TextIOBase, rest: list[str] | None = None, limit: int = 0) -> Iterator[str]:
-    """Whole lines of ``fh``, about _CHUNK characters at a time, all ended by "\\n".
-
-    Given ``rest``, ``fh`` is CSV text read with newline="", and the lines
-    stop at the first read that only `csv` splits: one holding a '"', a NUL
-    (refused by csv before Python 3.11) or a "\\r" not before "\\n" (a line
-    end not cut at here), or longer, with the line it continues, than
-    csv's field size ``limit``. That read, led by the line it continues and
-    completed to a line end, is put in ``rest``."""
-    parts = []
-    while chunk := fh.read(_CHUNK):
-        if rest is not None:
-            if chunk[-1] == "\r":  # a "\r\n" stays in one read
-                chunk += fh.read(1)
-            if ('"' in chunk or "\0" in chunk or len(chunk) + sum(map(len, parts)) > limit
-                    or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
-                rest.append("".join(parts) + chunk + fh.readline())
-                return
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield "".join(parts) + chunk[:cut]
-            parts.clear()
-        parts.append(chunk[cut:])
-    if tail := "".join(parts):
-        yield tail + "\n"
+def _lines(fh: io.TextIOBase) -> Iterator[str]:
+    """Whole lines of ``fh``: _CHUNK characters at a time, each read completed
+    to a line end by one ``readline``, and the last line ended by "\\n" if it
+    has no end. Only CSV text, read with newline="", ends lines with "\\r"."""
+    while text := fh.read(_CHUNK):
+        text += fh.readline()
+        yield text if text[-1] in "\r\n" else text + "\n"
 
 
 def scan(source: DatasetSource, stream: io.BufferedIOBase,
@@ -231,17 +216,18 @@ def scan(source: DatasetSource, stream: io.BufferedIOBase,
     blank, non-numeric, past the exponent bound, then zero. Every record is
     parsed once, by one ``findall`` per chunk of "\\n"-terminated records:
     whole lines, whole CSV rows, whose match skips the columns before the
-    selected one, or the selected fields of _BATCH rows that `csv` split
-    (see `_lines`) joined by "\\n". In base 10 the match captures the first
-    significant digit, and the pairs are counted in C. In any other base it
-    captures a numeral's integer part W past leading zeros, its text from W
-    on (at most _K digits each side of the point) and any exponent; C places
-    the texts by their length of W in the base's `_threshold_table`, and
-    `_numeral_digit` reads those with an exponent. Any other record is
-    matched by `NUMERAL` alone, and read by `_numeral_digit` or skipped and
-    counted. ``stream`` is left open. Structural problems raise IngestError
-    with the offending line number, and undecodable bytes a
-    UnicodeDecodeError that names their offset in the input, if it can."""
+    selected one, or, from the first chunk of rows that only `csv` splits,
+    the selected fields of _BATCH rows that it split joined by "\\n". In
+    base 10 the match captures the first significant digit, and the pairs
+    are counted in C. In any other base it captures a numeral's integer
+    part W past leading zeros, its text from W on (at most _K digits each
+    side of the point) and any exponent; C places the texts by their length
+    of W in the base's `_threshold_table`, and `_numeral_digit` reads those
+    with an exponent. Any other record is matched by `NUMERAL` alone, and
+    read by `_numeral_digit` or skipped and counted. ``stream`` is left
+    open. Structural problems raise IngestError with the offending line
+    number, and undecodable bytes a UnicodeDecodeError that names their
+    offset in the input, if it can."""
     counts, skipped = [0] * base, [0] * len(_SKIPPED)  # counts[0]: zeros
     ten = base == 10
     if ten:  # one group: the first nonzero digit, if any
@@ -309,18 +295,24 @@ def scan(source: DatasetSource, stream: io.BufferedIOBase,
                 index, first = _column(source, reader)
                 if first is not None:
                     read(first[index] if first else "", 1)
-                done, rest = reader.line_num, []
+                done, limit = reader.line_num, csv.field_size_limit()
                 # the fields before the selected one written out, and a lookahead
                 # before the rest: the engine's general repeat is 20% slower
                 findall = records(r"[^,\n]*," * index, r"(?=[,\n])[^\n]*")
-                for text in _lines(fh, rest, csv.field_size_limit()):
+                for text in _lines(fh):
+                    # only csv splits a '"', a NUL (refused before Python 3.11), a "\r" not
+                    # before "\n" (a row end to csv, not to findall) or a field past limit
+                    if ('"' in text or "\0" in text or len(text) > limit
+                            or "\r" in text and text.count("\r") != text.count("\r\n")):
+                        break
                     try:
                         count_chunk(text, findall, read_row)
                     except IndexError:  # csv.reader splits ``text`` alike, and names the line
-                        rest = [text]
                         break
                     done += text.count("\n")
-                reader = csv.reader(chain(io.StringIO("".join(rest), newline=""), fh))
+                else:
+                    text = ""
+                reader = csv.reader(chain(io.StringIO(text, newline=""), fh))
                 while fields := [row[index] if row else "" for row in islice(reader, _BATCH)]:
                     count_chunk(_joined(fields), records(), read)
             except IndexError:  # the row just read is too short

@@ -190,6 +190,20 @@ class TestSequenceCommand:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
+    def test_emit_values_restores_the_int_string_limit(self, capsys):
+        # cli.main also runs in process: the lifted limit must not outlive the command
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str digit limit")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, out, _ = run_cli(capsys, "sequence", "--kind", "pow2", "-n", "5",
+                                   "--emit-values")
+            assert code == 0 and out == "1\n2\n4\n8\n16\n"
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_fib_and_fact_kinds(self, capsys):
         code, out, _ = run_cli(capsys, "sequence", "--kind", "fib", "-n", "7", "--json")
         assert json.loads(out)["digits"] == [1, 1, 2, 3, 5, 8, 1]

@@ -470,6 +470,17 @@ class TestScan:
         with pytest.raises(IngestError, match=f"row at line {line} has no column 'w'"):
             scanned(DatasetSource(format="csv", column="w"), text)
 
+    def test_a_read_completed_to_a_lone_cr_reaches_csv_as_it_is(self, monkeypatch):
+        # the read '"' is completed to '"\r'; a "\n" put after it would make
+        # the quoted field 5 characters long, past a field size limit of 4
+        monkeypatch.setattr(ingest, "_CHUNK", 1)
+        limit = csv.field_size_limit(4)
+        try:
+            got = scanned(DatasetSource(format="csv", column=0), '1\n"\r\r\r\r"\n')
+        finally:
+            csv.field_size_limit(limit)
+        assert got == (counts_of([1]), skips(blank=1))
+
     @pytest.mark.parametrize("fmt", ["lines", "csv"])
     def test_key_edges_equal_the_per_record_path(self, fmt):
         # past _K digits or with an exponent, a numeral is read by the exact route

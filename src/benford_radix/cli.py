@@ -5,9 +5,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from itertools import islice
 
@@ -34,10 +32,10 @@ def _parse_kind(kind: str, length: int) -> SequenceSpec:
 
 
 def _parse_bases(text: str) -> list[int]:
-    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
-    if m is None:
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    if not (text.isascii() and lo.isdigit() and hi.isdigit()):  # isdigit() takes "²" and "５"
         raise ValueError(f"bad --bases value {text!r}: expected <lo>..<hi>")
-    lo, hi = int(m[1]), int(m[2] or m[1])
+    lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ValueError(f"bad base range {text!r}: {lo} > {hi}")
     # both ends first, so that a range past 64 is refused before it is built
@@ -63,21 +61,13 @@ def _law_doc(mode: str, base: int, p_key: str) -> dict:
     return {"mode": mode, "base": base, "rows": rows, "warnings": []}
 
 
-def _cmd_pmf(args) -> dict:
-    return _law_doc("pmf", check_base(args.base), "p")
-
-
-def _cmd_table1(args) -> dict:
-    return _law_doc("table1", 10, "theory")
-
-
 def _cmd_sequence(args) -> dict | None:
     from .sequences import generate, iter_leading_digits, leading_digit_counts
 
-    base = check_base(args.base)
-    spec = _parse_kind(args.kind, args.n)
-    if args.emit_values:
-        if args.json or args.csv:
+    base = check_base(args["--base"])
+    spec = _parse_kind(args["--kind"], args["-n"])
+    if args["--emit-values"]:
+        if args["--json"] or args["--csv"]:
             raise ValueError("--emit-values prints raw values; it takes no --json or --csv")
         # terms outgrow the int-to-str digit limit (0: none): lift it meanwhile
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -91,7 +81,7 @@ def _cmd_sequence(args) -> dict | None:
             if limit:
                 sys.set_int_max_str_digits(limit)
         return None
-    if args.tally:
+    if args["--tally"]:
         counts = leading_digit_counts(spec, base)
         return {"mode": "sequence", "base": base,
                 "histogram": _histogram_payload(base, counts), "warnings": []}
@@ -102,8 +92,8 @@ def _cmd_sequence(args) -> dict | None:
 def _cmd_table2(args) -> dict:
     from .stats import leading_one_by_base
 
-    bases = _parse_bases(args.bases)
-    rows = leading_one_by_base(bases, args.n, sequence_base=args.seq_base)
+    bases = _parse_bases(args["--bases"])
+    rows = leading_one_by_base(bases, args["-n"], sequence_base=args["--seq-base"])
     return {"mode": "table2", "bases": [r["base"] for r in rows], "rows": rows, "warnings": []}
 
 
@@ -112,12 +102,12 @@ def _cmd_analyze(args) -> dict:
     from .model import benford_pmf
     from .stats import chi_square_fit
 
-    base = check_base(args.base)
-    source = DatasetSource(args.format, args.column, args.skip_header)
-    if args.path == "-":  # stdin is borrowed, not closed
+    base = check_base(args["--base"])
+    source = DatasetSource(args["--format"], args["--column"], args["--skip-header"])
+    if args["path"] == "-":  # stdin is borrowed, not closed
         counts, warnings = scan(source, sys.stdin.buffer, base)
     else:
-        with open(args.path, "rb") as fh:
+        with open(args["path"], "rb") as fh:
             counts, warnings = scan(source, fh, base)
     fit = None
     if sum(counts) == 0:
@@ -131,74 +121,93 @@ def _cmd_analyze(args) -> dict:
             "fit": fit, "warnings": warnings}
 
 
-def _add_format_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit the JSON document")
-    group.add_argument("--csv", action="store_true", help="emit CSV rows")
+# Each command's handler, help, positionals and options. An option's entry is its default, and
+# its type is the option's: False a flag, an int or a str (or None) a value, a tuple the choices,
+# the first one the default. The type int or str itself makes the option required.
+_FORMATS = {"--json": False, "--csv": False}
+_COMMANDS = {
+    "pmf": (lambda args: _law_doc("pmf", check_base(args["--base"]), "p"),
+            "theoretical first-digit law for one base", (), {"--base": 10, **_FORMATS}),
+    "sequence": (_cmd_sequence, "leading digits of a generated integer sequence", (), {
+        "--kind": str, "--base": 10, "-n": int, "--tally": False, "--emit-values": False,
+        **_FORMATS}),
+    "table1": (lambda args: _law_doc("table1", 10, "theory"),
+               "theoretical law vs the 1938 reference column (base 10)", (), _FORMATS),
+    "table2": (_cmd_table2, "leading-1 frequency of a power sequence across bases", (),
+               {"-n": int, "--bases": "2..12", "--seq-base": 2, **_FORMATS}),
+    "analyze": (_cmd_analyze, "first-digit audit of a numeric dataset", ("path",), {
+        "--format": ("lines", "csv"), "--column": None, "--skip-header": False, "--base": 10,
+        **_FORMATS}),
+}
+_EXCLUSIVE = {"--json": "--csv", "--csv": "--json",
+              "--tally": "--emit-values", "--emit-values": "--tally"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="benford-radix",
-        description="First-significant-digit statistics in arbitrary number bases.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command: str | None = None) -> str:
+    if command not in _COMMANDS:
+        return f"benford-radix [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = ["benford-radix", command, "[-h]"]
+    for name, spec in _COMMANDS[command][3].items():
+        value = "{%s}" % ",".join(spec) if type(spec) is tuple else name.lstrip("-").upper()
+        word = name if spec is False else f"{name} {value}"
+        words.append(word if spec in (int, str) else f"[{word}]")
+    return " ".join(words + list(_COMMANDS[command][2]))
 
-    p = sub.add_parser("pmf", help="theoretical first-digit law for one base")
-    p.add_argument("--base", type=int, default=10)
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_pmf)
 
-    p = sub.add_parser(
-        "sequence", help="leading digits of a generated integer sequence"
-    )
-    p.add_argument(
-        "--kind", required=True, help="pow2, powa:<a>, fact, or fib"
-    )
-    p.add_argument("--base", type=int, default=10)
-    p.add_argument("-n", type=int, required=True, help="number of terms")
-    emit = p.add_mutually_exclusive_group()
-    emit.add_argument(
-        "--tally", action="store_true", help="report the digit histogram instead"
-    )
-    emit.add_argument(
-        "--emit-values",
-        action="store_true",
-        help="print the raw sequence values, one per line",
-    )
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_sequence)
+def _help(command: str | None) -> str:
+    """The usage line, then the help of ``command`` or the list of commands."""
+    about = "".join(f"\n  {name:<10}{spec[1]}" for name, spec in _COMMANDS.items())
+    about = _COMMANDS[command][1] if command else "First-digit statistics in any base:" + about
+    return f"usage: {_usage(command)}\n\n{about}\n"
 
-    p = sub.add_parser(
-        "table1", help="theoretical law vs the 1938 reference column (base 10)"
-    )
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_table1)
 
-    p = sub.add_parser(
-        "table2", help="leading-1 frequency of a power sequence across bases"
-    )
-    p.add_argument("-n", type=int, required=True, help="number of sequence terms")
-    p.add_argument("--bases", default="2..12", help="<lo>..<hi> range of bases, within 2..64")
-    p.add_argument("--seq-base", type=int, default=2, help="power sequence base a")
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_table2)
-
-    p = sub.add_parser("analyze", help="first-digit audit of a numeric dataset")
-    p.add_argument("path", help="input file, or - for stdin")
-    p.add_argument("--format", choices=("csv", "lines"), default="lines")
-    p.add_argument("--column", help="CSV column: 0-based index or header name (all digits: "
-                   "a name only if the first row, not skipped, is too short for that index)")
-    p.add_argument(
-        "--skip-header",
-        action="store_true",
-        help="skip the first CSV row (implied when --column is a name)",
-    )
-    p.add_argument("--base", type=int, default=10)
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    return parser
+def _read_argv(argv) -> tuple:
+    """(handler, args) read from ``argv`` by ``_COMMANDS``, or a ValueError. ``args`` maps each
+    option, as it is spelt, and each positional to its value; for ``-h`` it is the help text."""
+    command = argv[0] if argv else None
+    if {"-h", "--help"} & set(argv):
+        return _write_stdout, _help(command if command in _COMMANDS else None)
+    def choices(name: str, value: str, spec) -> ValueError:
+        return ValueError(f"argument {name}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(map(repr, spec))})")
+    if command not in _COMMANDS:
+        raise choices("command", command, _COMMANDS) if command else ValueError(
+            "the following arguments are required: command")
+    handler, _, positionals, options = _COMMANDS[command]
+    args = {name: spec[0] if type(spec) is tuple else spec for name, spec in options.items()}
+    free, extra = [], []
+    rest = iter(argv[1:])
+    for token in rest:
+        name, eq, value = token.partition("=")
+        if name not in options:  # a positional, or an unknown option
+            positional = token == "-" or not token.startswith("-")
+            (free if positional and len(free) < len(positionals) else extra).append(token)
+            continue
+        spec = options[name]
+        if spec is False:
+            if eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            if args.get(_EXCLUSIVE.get(name)):
+                raise ValueError(f"argument {name}: not allowed with argument {_EXCLUSIVE[name]}")
+            value = True
+        elif not eq and (value := next(rest, None)) is None:
+            raise ValueError(f"argument {name}: expected one argument")
+        elif int in (spec, type(spec)):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        elif type(spec) is tuple and value not in spec:
+            raise choices(name, value, spec)
+        args[name] = value
+    # a required option still holds its type
+    missing = [name for name in options if args[name] in (int, str)] + list(positionals[len(free):])
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    if extra:
+        raise ValueError("unrecognized arguments: " + " ".join(extra))
+    args.update(zip(positionals, free))
+    return handler, args
 
 
 def _write_stdout(text: str) -> None:
@@ -220,17 +229,18 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # a usage error is a validation error: 1, not argparse's 2
-        return 1 if exc.code == 2 else int(exc.code or 0)
+        handler, args = _read_argv(argv)
+    except ValueError as exc:  # a usage error: the usage line, then the message
+        print(f"usage: {_usage(*argv[:1])}\nbenford-radix: error: {exc}", file=sys.stderr)
+        return 1
     try:
-        doc = args.handler(args)
+        doc = handler(args)
         if doc is not None:
-            if args.json:
+            if args["--json"]:
                 _write_stdout(render_json(doc) + "\n")
-            elif args.csv:
+            elif args["--csv"]:
                 _write_stdout(render_csv(doc))
             else:
                 _write_stdout(render_text(doc))

@@ -311,7 +311,14 @@ class TestTable2Command:
         ("9..7", "bad base range '9..7': 9 > 7"),
         ("\u00b2", "bad --bases value '\u00b2': expected <lo>..<hi>"),
         ("2..12\n", "bad --bases value '2..12\\n': expected <lo>..<hi>"),
-    ], ids=["9..7", "superscript-two", "trailing-newline"])
+        # int() alone would read fullwidth digits
+        ("\uff12..\uff15", "bad --bases value '\uff12..\uff15': expected <lo>..<hi>"),
+        ("2..", "bad --bases value '2..': expected <lo>..<hi>"),
+        ("..5", "bad --bases value '..5': expected <lo>..<hi>"),
+        ("2...5", "bad --bases value '2...5': expected <lo>..<hi>"),
+        ("a..b", "bad --bases value 'a..b': expected <lo>..<hi>"),
+    ], ids=["9..7", "superscript-two", "trailing-newline", "fullwidth", "no-hi", "no-lo",
+            "three-dots", "letters"])
     def test_bad_range(self, capsys, bases, message):
         code, out, err = run_cli(capsys, "table2", "-n", "5", "--bases", bases)
         assert (code, out, err) == (1, "", f"benford-radix: error: {message}\n")
@@ -664,9 +671,79 @@ class TestCliContract:
         assert ("json" in modules) == ("--json" in argv)
         dataset = argv[argv.index("--format") + 1] if "--format" in argv else "lines"
         assert ("csv" in modules) == (dataset == "csv")
-        # no module imports typing; -S, because a site .pth file may import it
-        # before the program starts
-        assert "typing" not in imported_modules(argv, ["-S"])
+        # no module imports typing, and argv is read without argparse; -S, because
+        # a site .pth file may import them before the program starts
+        bare = imported_modules(argv, ["-S"])
+        assert not {"typing", "argparse", "gettext", "locale", "shutil"} & bare
+        # re is for the numeral grammar of ingest, and json's own decoder
+        assert ("re" in bare) == (argv[0] == "analyze" or "--json" in argv)
+
+    @pytest.mark.parametrize("argv, message", [
+        ("pmf --wat", "unrecognized arguments: --wat"),
+        ("frobnicate", "argument command: invalid choice: 'frobnicate' (choose from 'pmf', "
+                       "'sequence', 'table1', 'table2', 'analyze')"),
+        ("", "the following arguments are required: command"),
+        ("sequence --kind pow2", "the following arguments are required: -n"),
+        ("analyze", "the following arguments are required: path"),
+        ("analyze a b", "unrecognized arguments: b"),
+        ("table1 --json --csv", "argument --csv: not allowed with argument --json"),
+        ("sequence --kind pow2 -n 5 --emit-values --tally",
+         "argument --tally: not allowed with argument --emit-values"),
+        ("pmf --base x", "argument --base: invalid int value: 'x'"),
+        ("analyze f --format xml",
+         "argument --format: invalid choice: 'xml' (choose from 'lines', 'csv')"),
+        ("pmf --base", "argument --base: expected one argument"),
+        ("pmf --json=1", "argument --json: ignored explicit argument '1'"),
+        # no prefixes of an option, no value joined to a short one, no "--" separator
+        ("pmf --bas 7", "unrecognized arguments: --bas 7"),
+        ("table2 -n5", "the following arguments are required: -n"),
+        ("pmf -- --base 7", "unrecognized arguments: --"),
+        pytest.param(f"pmf --base {'9' * 5000}", f"argument --base: invalid int value: "
+                     f"'{'9' * 5000}'", id="past-the-int-string-limit",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="this Python has no int-to-str digit limit")),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: benford-radix ")
+        assert error == f"benford-radix: error: {message}"
+
+    @pytest.mark.parametrize("argv, same", [
+        (["pmf", "--base=7"], "pmf --base 7"),
+        (["table2", "-n", " 7"], "table2 -n 7"),
+        (["table2", "-n", "+7", "--bases=2..3"], "table2 -n 7 --bases 2..3"),
+        (["table2", "-n", "1_0"], "table2 -n 10"),
+        (["pmf", "--base", "3", "--base", "5"], "pmf --base 5"),
+    ])
+    def test_option_spellings(self, capsys, argv, same):
+        # values go through int() as they are, and the last of a repeated option wins
+        first = run_cli(capsys, *argv)
+        assert first == run_cli(capsys, *same.split()) and first[0] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        ("pmf --base -3", "base must be between 2 and 64, got -3"),
+        ("sequence --kind pow2 -n -5", "length must be an integer >= 1, got -5"),
+    ])
+    def test_negative_values_reach_the_domain_checks(self, capsys, argv, message):
+        assert run_cli(capsys, *argv.split()) == (1, "", f"benford-radix: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["pmf", "--help"], ["sequence", "--help"], ["table1", "--help"],
+        ["table2", "--help"], ["analyze", "--help"], ["table2", "-n", "x", "-h"],
+    ])
+    def test_help(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        usage = out.splitlines()[0]
+        assert usage.startswith("usage: benford-radix ")
+        if argv[0] in cli._COMMANDS:
+            # the usage line names each option and positional of the command's table entry
+            _, _, positionals, options = cli._COMMANDS[argv[0]]
+            assert {*positionals, *options} <= {word.strip("[]") for word in usage.split()}
+        else:
+            assert all(f"\n  {name} " in out for name in cli._COMMANDS)
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "pmf", "--wat")

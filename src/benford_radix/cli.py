@@ -105,7 +105,9 @@ def _cmd_analyze(args) -> dict:
     base = check_base(args["--base"])
     source = DatasetSource(args["--format"], args["--column"], args["--skip-header"])
     if args["path"] == "-":  # stdin is borrowed, not closed
-        counts, warnings = scan(source, sys.stdin.buffer, base)
+        if (stdin := getattr(sys.stdin, "buffer", None)) is None:  # None: fd 0 was closed
+            raise OSError("stdin is closed or not a byte stream")
+        counts, warnings = scan(source, stdin, base)
     else:
         with open(args["path"], "rb") as fh:
             counts, warnings = scan(source, fh, base)
@@ -217,6 +219,8 @@ def _write_stdout(text: str) -> None:
     count of a raw write that a closing pipe cuts off, so the bytes go to
     the binary layer in a loop; the next write then fails with EPIPE.
     """
+    if sys.stdout is None:  # fd 1 was closed
+        raise OSError("stdout is closed")
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text-only stream, such as io.StringIO
         sys.stdout.write(text)
@@ -244,7 +248,7 @@ def main(argv=None) -> int:
                 _write_stdout(render_csv(doc))
             else:
                 _write_stdout(render_text(doc))
-        sys.stdout.flush()
+        _write_stdout("")  # a flush, which also refuses a closed stdout
     except (UnicodeDecodeError, OSError) as exc:
         print(f"benford-radix: error: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError):

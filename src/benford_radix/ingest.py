@@ -15,7 +15,10 @@ bound) are skipped and counted, not fatal.
 
 This is the package's one numeral reader: `NUMERAL` is its grammar,
 `_numeral_digit` its digit engine and `_threshold_table` its one per-base
-table, which places a numeral by its text alone or in a chunk's batch alike.
+table. In a base other than 10 a numeral takes one of two routes: a chunk's
+pass places each plain numeral of at most _K digits each side of the point
+in the table, in C, and `_numeral_digit` reads any other numeral, one with an
+exponent or more digits, after `NUMERAL` has matched it alone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ _BATCH = 256  # CSV rows that csv splits at a time
 #: Most integer digits, past leading zeros, and most fraction digits of a
 #: numeral that `scan` places by its text in a base other than 10.
 _K = 32
-_EXPONENTS = {str(n): n for n in range(-99, 100)}  # "-12" -> -12, cheaper than int()
 
 #: Significant digits an exponent may have (|e| <= 9999): that is past any
 #: measured quantity, while 10**(10**6) would cost seconds per record.
@@ -116,8 +118,9 @@ def _column(source: DatasetSource, reader: Iterator[list[str]]) -> tuple[int, li
     first = next(reader, None)
     if first is None:
         return 0, None
-    # an all-digit name is an index, unless the first row is too short for it but holds it
-    if isinstance(column, str) and column.isdigit() and (
+    # a name of decimal digits ("５" too, but not "²", which int() refuses) is an index,
+    # unless the first row is too short for it but holds it
+    if isinstance(column, str) and column.isdecimal() and (
             source.skip_header or int(column) < len(first) or column not in first):
         column = int(column)
     if isinstance(column, str):
@@ -134,17 +137,19 @@ def _threshold_table(b: int) -> tuple[list[str], list[int], list[int], list[int]
     ``strings`` are the thresholds d * b**e, d = 1..b-1, ascending, from the
     largest e with b**e <= 10**-_K to the last below 10**_K: from 1 on as
     integers, below 1 as "." and their fraction rounded up to _K places, no
-    trailing zeros. Those of L integer digits are strings[lo[L]:hi[L]], those
-    of z zeros after the point strings[lo[-z]:hi[-z]], and L = 0 gives every
-    fraction. digit_at[i] is the d of strings[i - 1]; digit_at[0] = 0.
+    trailing zeros. Those of L = 1.._K integer digits are strings[lo[L]:hi[L]],
+    and L = 0 gives every fraction. digit_at[i] is the d of strings[i - 1];
+    digit_at[0] = 0.
 
     So bisect_right(strings, text, lo[L], hi[L]) counts the thresholds <= x,
     and digit_at of it is x's first digit, if text starts with the L-digit
     integer part of x >= 1 (the thresholds there are integers, and digit
-    strings of one length sort as their values), or if it is "." and the
-    fraction x < 1 of at most _K places, L = 0 or -z: x reaches t exactly
-    when it reaches ceil(t * 10**_K) / 10**_K, and a longer text starting
-    with one that has no trailing zeros is no smaller. Zero ("", ".") gets 0.
+    strings of one length sort as their values), or if L = 0 and text is "."
+    and the fraction x < 1 of at most _K places: x reaches t exactly when it
+    reaches ceil(t * 10**_K) / 10**_K, and a longer text starting with one
+    that has no trailing zeros is no smaller. Zero ("", ".") gets 0. `scan`
+    places a chunk's numerals so, and `_numeral_digit` any other numeral
+    within that reach.
     """
     top, powers = 10**_K, [1]
     while powers[-1] < top:
@@ -153,13 +158,9 @@ def _threshold_table(b: int) -> tuple[list[str], list[int], list[int], list[int]
     fractions = [-(m // p) for p in powers[:0:-1] for m in minus]  # * 10**-_K
     integers = [n for p in powers[:-1] for d in range(1, b) if (n := d * p) < top]
     strings = ["." + str(n).zfill(_K).rstrip("0") for n in fractions] + [*map(str, integers)]
-    # starts[i]: the first threshold >= 10**(i - _K)
-    starts = [*(bisect_left(fractions, 10**i) for i in range(_K)),
-              *(len(fractions) + bisect_left(integers, 10**L) for L in range(_K + 1))]
-    places = [*range(_K + 1), *range(1 - _K, 0)]  # lo[P]:hi[P] hold those in [10**(P-1), 10**P)
-    lo = [starts[_K + P - 1] if P else 0 for P in places]
-    hi = [starts[_K + P] for P in places]
-    return strings, lo, hi, [0] + [*range(1, b)] * (2 * len(powers))
+    # hi[L]: the first threshold >= 10**L
+    hi = [len(fractions) + bisect_left(integers, 10**L) for L in range(_K + 1)]
+    return strings, [0, *hi[:-1]], hi, [0] + [*range(1, b)] * (2 * len(powers))
 
 
 def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
@@ -168,26 +169,27 @@ def _numeral_digit(b: int, whole: str, frac: str, exponent: str) -> int:
     base 10 the first nonzero digit. Else x = .digits * 10**point (digits past
     leading zeros) is placed by its text in `_threshold_table`, as `scan` places
     a chunk's, if x >= 1 has at most _K integer digits or x < 1 at most _K
-    places; `_leading_digit` reads any other x (via `Decimal` past int()'s limit)."""
+    places. `_leading_digit` reads any other x >= 1 from its integer part alone,
+    which has x's digit since every threshold d * b**e >= 1 is an integer, and
+    any other x < 1 whole (via `Decimal` past int()'s limit)."""
     if not (digits := (whole + frac).lstrip("0")):
         return 0
     if b == 10:
         return int(digits[0])
     try:
-        point = len(digits) - len(frac) + (_EXPONENTS.get(exponent) or int(exponent or 0))
-        if 0 < point <= _K:  # digits, or W padded with zeros, start with W
-            text = digits.ljust(point, "0")
-        elif point <= 0 and len(digits) - point <= _K:
-            text = "." + digits.rjust(len(digits) - point, "0")
-        else:
-            shift = point - len(digits)
-            return _leading_digit(int(digits) * 10 ** max(shift, 0), 10 ** max(-shift, 0), b)
+        point = len(digits) - len(frac) + int(exponent or 0)
+        if point > _K:
+            return _leading_digit(int(digits[:point]) * 10 ** max(point - len(digits), 0), 1, b)
+        if point <= 0 and len(digits) - point > _K:
+            return _leading_digit(int(digits), 10 ** (len(digits) - point), b)
     except ValueError:  # past sys.get_int_max_str_digits(); Decimal has no limit
         from decimal import Decimal
         p, q = Decimal(f"{whole}.{frac}e{exponent or 0}").as_integer_ratio()
         return _leading_digit(p, q, b) if p else 0
+    # digits, or W padded with zeros, start with W; a fraction is "." and its places
+    text = digits.ljust(point, "0") if point > 0 else "." + digits.rjust(len(digits) - point, "0")
     strings, lo, hi, digit_at = _threshold_table(b)
-    return digit_at[bisect_right(strings, text, lo[point], hi[point])]
+    return digit_at[bisect_right(strings, text, lo[max(point, 0)], hi[max(point, 0)])]
 
 
 def _joined(batch: list[str]) -> str:
@@ -213,29 +215,28 @@ def scan(source: DatasetSource, stream: io.BufferedIOBase,
          base: int) -> tuple[tuple[int, ...], list[str]]:
     """Counts of the first digits 1..base-1 of the usable records of the
     byte ``stream``, and the warnings that count the records it skipped:
-    blank, non-numeric, past the exponent bound, then zero. Every record is
-    parsed once, by one ``findall`` per chunk of "\\n"-terminated records:
-    whole lines, whole CSV rows, whose match skips the columns before the
-    selected one, or, from the first chunk of rows that only `csv` splits,
-    the selected fields of _BATCH rows that it split joined by "\\n". In
-    base 10 the match captures the first significant digit, and the pairs
-    are counted in C. In any other base it captures a numeral's integer
-    part W past leading zeros, its text from W on (at most _K digits each
-    side of the point) and any exponent; C places the texts by their length
-    of W in the base's `_threshold_table`, and `_numeral_digit` reads those
-    with an exponent. Any other record is matched by `NUMERAL` alone, and
-    read by `_numeral_digit` or skipped and counted. ``stream`` is left
-    open. Structural problems raise IngestError with the offending line
-    number, and undecodable bytes a UnicodeDecodeError that names their
-    offset in the input, if it can."""
+    blank, non-numeric, past the exponent bound, then zero. Records go
+    through one ``findall`` per chunk of "\\n"-terminated records: whole
+    lines, whole CSV rows, whose match skips the columns before the selected
+    one, or, from the first chunk of rows that only `csv` splits, the
+    selected fields of _BATCH rows that it split joined by "\\n". In base 10
+    the match captures the first significant digit of every numeral, and the
+    pairs are counted in C. In any other base it captures a plain numeral's
+    integer part W past leading zeros and its text from W on, with at most _K
+    digits each side of the point and no exponent, and C places the texts by
+    their length of W in the base's `_threshold_table`. Any other record (one
+    with an exponent or more digits, or no numeral) the match refuses; it is
+    matched by `NUMERAL` alone, and read by `_numeral_digit` or skipped and
+    counted. ``stream`` is left open. Structural problems raise IngestError
+    with the offending line number, and undecodable bytes a
+    UnicodeDecodeError that names their offset in the input, if it can."""
     counts, skipped = [0] * base, [0] * len(_SKIPPED)  # counts[0]: zeros
     ten = base == 10
     if ten:  # one group: the first nonzero digit, if any
         numeral = r"(?:(?=[+-]?[0.]*([1-9]))|)" + NUMERAL.replace("([", "(?:[")
-    else:  # the text from W, W and the exponent
+    else:  # the text from W, and W
         strings, lo, hi, digit_at = _threshold_table(base)
-        numeral = (rf"[+-]?(?=\.?[0-9])0*(([1-9][0-9]{{0,{_K - 1}}}|)(?:\.[0-9]{{0,{_K}}})?)"
-                   rf"(?:[eE]([+-]?{_EXPONENT}))?")
+        numeral = rf"[+-]?(?=\.?[0-9])0*(([1-9][0-9]{{0,{_K - 1}}}|)(?:\.[0-9]{{0,{_K}}})?)"
     match = re.compile(NUMERAL).fullmatch
 
     def records(skip: str = "", tail: str = "") -> Callable[[str], list]:
@@ -263,16 +264,10 @@ def scan(source: DatasetSource, stream: io.BufferedIOBase,
                 else:
                     counts[int(d or 0)] += n
         elif matches := findall(text):
-            if any(map(itemgetter(2), matches)):  # read those with an exponent alone
-                for t, w, e, raw in matches:
-                    if e:
-                        counts[_numeral_digit(base, w, t[len(w) + 1:], e)] += 1
-                if not (matches := [m for m in matches if not m[2]]):
-                    return
             lens = [*map(len, map(itemgetter(1), matches))]
             seen = Counter(map(bisect_right, repeat(strings), map(itemgetter(0), matches),
                                map(lo.__getitem__, lens), map(hi.__getitem__, lens)))
-            raws = [*filter(None, map(itemgetter(3), matches))]
+            raws = [*filter(None, map(itemgetter(2), matches))]
             seen[0] -= len(raws)  # the refused records' empty text
             for i, n in seen.items():
                 counts[digit_at[i]] += n

@@ -372,15 +372,17 @@ class TestAnalyzeCommand:
         doc = json.loads(out)
         assert doc["histogram"]["counts"][2] == 2  # both start with 3
 
-    @pytest.mark.parametrize("text, column, counts", [
-        ("name,2019\nvolga,335\nnile,3349000\n", "2019", [0, 0, 2]),  # too short: a name
-        ("a,1,b\n5,23,9\n1,45,2\n", "1", [1, 1, 0, 1]),  # wide enough: index 1
-    ], ids=["header-name", "index"])
-    def test_all_digit_column(self, text, column, counts, capsys, tmp_path):
+    @pytest.mark.parametrize("text, column, counts, flags", [
+        ("name,2019\nvolga,335\nnile,3349000\n", "2019", [0, 0, 2], ()),  # too short: a name
+        ("a,1,b\n5,23,9\n1,45,2\n", "1", [1, 1, 0, 1], ()),  # wide enough: index 1
+        ("a,\u00b2\n1,23\n4,5\n", "\u00b2", [0, 1, 0, 0, 1], ()),  # "²".isdigit(), no index
+        ("a,\u00b2\n1,23\n4,5\n", "\u00b2", [0, 1, 0, 0, 1], ("--skip-header",)),
+    ], ids=["header-name", "index", "superscript", "superscript-skip-header"])
+    def test_all_digit_column(self, text, column, counts, flags, capsys, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text(text, encoding="utf-8")
         code, out, err = run_cli(
-            capsys, "analyze", str(data), "--format", "csv", "--column", column, "--json"
+            capsys, "analyze", str(data), "--format", "csv", "--column", column, *flags, "--json"
         )
         assert code == 0, err
         assert json.loads(out)["histogram"]["counts"][:len(counts)] == counts
@@ -513,14 +515,16 @@ class TestAnalyzeCommand:
     def test_huge_numerals_finish_quickly(self, base, capsys, tmp_path):
         body = "".join(str(i * i % 10) for i in range(3, 20003))
         data = tmp_path / "huge.txt"
-        data.write_text(f"{body}\n1e-9999\n", encoding="utf-8")
+        # and 40 integer digits with 10**6 fraction digits: x >= 1 is read from its integer part
+        data.write_text(f"{body}\n1e-9999\n{body[:40]}.{body * 50}\n", encoding="utf-8")
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "analyze", str(data), "--base", str(base), "--json")
         elapsed = time.perf_counter() - start
         assert code == 0, err
         expected = [0] * (base - 1)
         p = int(Decimal(body))  # Decimal reads past int()'s digit limit
-        for d in (_leading_digit(p, 1, base), _leading_digit(1, 10**9999, base)):
+        for d in (_leading_digit(p, 1, base), _leading_digit(1, 10**9999, base),
+                  _leading_digit(int(body[:40]), 1, base)):
             expected[d - 1] += 1
         assert json.loads(out)["histogram"]["counts"] == expected
         assert elapsed < 5  # about 0.05 s; the bound only catches a blow-up
@@ -637,6 +641,17 @@ class TestCliContract:
         assert proc.wait(timeout=60) == 2
         assert err.startswith("benford-radix: error: ") and err.count("\n") == 1
         assert "Broken pipe" in err
+
+    @pytest.mark.parametrize("argv, closed", [(["analyze", "-"], "<&-"), (["pmf"], ">&-")],
+                             ids=["stdin-analyze", "stdout-pmf"])
+    def test_closed_stdio_is_io_error(self, argv, closed):
+        # the shell closes the descriptor, so Python starts with sys.stdin or sys.stdout None
+        command = ["sh", "-c", f'exec "$0" -m benford_radix.cli "$@" {closed}', sys.executable]
+        proc = subprocess.run(command + argv, env=src_env(), stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("benford-radix: error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["pmf"],

@@ -380,6 +380,9 @@ def _key_edges():
     yield from ("007", "000.5", "0.", "-0", "49", "7.", "-049.0", "1" + "0" * (_K - 1))
     yield from ("4e1", "5e1", "1e2", "4.9e1")  # on a threshold once the point moves
     yield from (str(2**k) for k in (0, 1, 10, 63, 106, 107))
+    # past _K integer digits, read from the integer part: just below 2**107 and
+    # 3**69 (once the point moves), and on 3**69
+    yield from (f"{2**107 - 1}.{'9' * (_K + 1)}", f"{3**69 - 1}9.5e-1", str(3**69))
     # fractions of _K places: 1/7 rounded up, and one unit below it
     sevenths = -(-(10**_K) // 7)
     yield from (f"0.{sevenths:0{_K}}", f".{sevenths - 1:0{_K}}", f"{sevenths}e-{_K}")
@@ -520,42 +523,54 @@ def _neighbours(threshold: str) -> list[str]:
     return [f".{m:0{width}}" if m < 10**width else "1" for m in (n - 1, n, n + 1)]
 
 
+def _with_exponents(numeral: str) -> tuple[str, str]:
+    """``numeral`` with its point moved and an exponent: "48" as "4.8e1" and
+    "4800e-2", ".25" as "2.5e-1" and "2500e-4"."""
+    whole, _, frac = numeral.partition(".")
+    digits = str(int(whole + frac))
+    return f"{digits[0]}.{digits[1:]}e{len(digits) - 1 - len(frac)}", f"{digits}00e-{len(frac) + 2}"
+
+
 class TestThresholdTable:
     @pytest.mark.parametrize("base", range(2, 65))
     def test_keys_match_the_exact_route(self, base):
         # keys: every threshold and its neighbours one unit off in the last digit,
-        # placed as `scan` places them (the slice of W's length), by
-        # `_numeral_digit` (which narrows a fraction's slice by its zeros
-        # after the point) and by `scan` itself, against `_leading_digit`
+        # placed as `scan` places them (the slice of W's length), and, also with
+        # the point moved and an exponent, by `_numeral_digit` and by `scan`
+        # itself (lines, and one CSV column), against `_leading_digit`
         strings, lo, hi, digit_at = ingest._threshold_table(base)
         assert ingest._threshold_table(base)[0] is strings  # built once
         assert strings[0] == "." + "0" * (_K - 1) + "1" and len(strings[-1]) == _K
         assert len(digit_at) > len(strings)
-        assert strings[lo[0]:hi[0]] == [t for t in strings if t[0] == "."]
+        assert len(lo) == len(hi) == _K + 1
 
-        def place(t):  # L digits of an integer, or -z for z zeros after the point
-            return len(t) if t[0] != "." else len(t.lstrip(".0")) - len(t) + 1
+        def place(t):  # L digits of an integer, or 0 for a fraction
+            return 0 if t[0] == "." else len(t)
 
         places = Counter(map(place, strings))
-        for P in [*range(1 - _K, 0), *range(1, _K + 1)]:
-            part = strings[lo[P]:hi[P]]
-            assert part == sorted(part) and {*map(place, part)} == {P} and len(part) == places[P]
-
-        numerals = sorted({n for t in strings for n in _neighbours(t)})
+        for L in range(_K + 1):
+            part = strings[lo[L]:hi[L]]
+            assert part == sorted(part) and {*map(place, part)} == {L} and len(part) == places[L]
 
         def exact(numeral):
             value = Fraction(numeral)
             return _leading_digit(value.numerator, value.denominator, base) if value else 0
 
-        want = [*map(exact, numerals)]
-        lens = [len(n.partition(".")[0].lstrip("0")) for n in numerals]
+        plain = sorted({n for t in strings for n in _neighbours(t)})
+        lens = [len(n.partition(".")[0].lstrip("0")) for n in plain]
         assert [digit_at[bisect_right(strings, n.lstrip("0"), lo[L], hi[L])]
-                for n, L in zip(numerals, lens)] == want
-        assert [ingest._numeral_digit(base, *re.fullmatch(NUMERAL, n).groups(""))
-                for n in numerals] == want
-        counts, _ = scanned(DatasetSource(format="lines"), "\n".join(numerals), base)
-        seen = Counter(want)
-        assert counts == tuple(seen[d] for d in range(1, base))
+                for n, L in zip(plain, lens)] == [*map(exact, plain)]
+        for numerals in (plain, *zip(*map(_with_exponents, plain))):
+            want = [*map(exact, numerals)]
+            assert [ingest._numeral_digit(base, *re.fullmatch(NUMERAL, n).groups(""))
+                    for n in numerals] == want
+            seen = Counter(want)
+            lines = "\n".join(numerals)
+            csv_text = "id,v\n" + "".join(f"{i},{n}\n" for i, n in enumerate(numerals))
+            for source, text in ((DatasetSource("lines"), lines),
+                                 (DatasetSource("csv", "v"), csv_text)):
+                counts, _ = scanned(source, text, base)
+                assert counts == tuple(seen[d] for d in range(1, base)), (source, numerals[:3])
 
 
 def _peak_scan(source, path, base) -> int:
